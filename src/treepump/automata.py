@@ -160,9 +160,21 @@ def parse_dta(text: str) -> Dta:
     )
 
 
-def _states_bottom_up(m: Dta, t: Tree, hole_state: str | None) -> str | None:
-    """Evaluate t bottom-up; shared subtrees are evaluated once (memo by id)."""
-    memo: dict[int, str | None] = {}
+def _states_bottom_up(
+    m: Dta,
+    t: Tree,
+    hole_state: str | None,
+    memo: dict[int, str | None] | None = None,
+) -> str | None:
+    """Evaluate t bottom-up; shared subtrees are evaluated once (memo by id).
+
+    A caller that passes `memo` reads the state of every subtree of t from
+    it afterwards, and may share it across several trees evaluated with the
+    same hole_state. Keys are ids, so every tree evaluated with one memo has
+    to stay alive while the memo is in use.
+    """
+    if memo is None:
+        memo = {}
     stack: list[tuple[Tree, bool]] = [(t, False)]
     while stack:
         node, expanded = stack.pop()
@@ -259,7 +271,7 @@ def enumerate_language(m: Dta, size_bound: int) -> list[Tree]:
 
     Dynamic programming over (state, size): a tree of size s with root symbol
     f arises from child trees whose sizes sum to s-1 and whose states match a
-    transition. Every returned tree is re-checked with accepts.
+    transition. Every returned tree is re-evaluated and must be accepted.
     """
     if size_bound < 1:
         raise ValueError("size_bound must be at least 1")
@@ -283,12 +295,17 @@ def enumerate_language(m: Dta, size_bound: int) -> list[Tree]:
     out = [
         (s, t) for (q, s), trees in by.items() if q in m.final for t in trees
     ]
-    out.sort(key=lambda pair: (pair[0], render(pair[1])))
-    result = [t for _, t in out]
-    for t in result:
-        if not accepts(m, t):  # pragma: no cover - internal consistency check
+    # children are shared objects, so one memo makes the check O(#trees);
+    # `out` keeps every tree alive, so no id is reused meanwhile. Checking
+    # before the sort lets the sort keys reuse the memo's memory.
+    memo: dict[int, str | None] = {}
+    for _, t in out:
+        q = _states_bottom_up(m, t, None, memo)
+        if q is None or q not in m.final:  # pragma: no cover - consistency check
             raise RuntimeError(f"enumeration produced a rejected tree: {render(t)}")
-    return result
+    del memo
+    out.sort(key=lambda pair: (pair[0], render(pair[1])))
+    return [t for _, t in out]
 
 
 def pumping_constant(m: Dta) -> int:

@@ -51,10 +51,10 @@ from .terms import (
     format_address,
     merge_alphabets,
     infer_alphabet,
+    iterate,
     parse_address,
     parse_context,
     parse_tree,
-    power,
     render,
     substitute,
 )
@@ -209,7 +209,8 @@ def _cmd_pump(args: argparse.Namespace) -> int:
     c = _load_context(args.c, None)
     tprime, _ = parse_tree(None, _read_source(args.tprime))
     merge_alphabets(infer_alphabet(cprime), infer_alphabet(c), infer_alphabet(tprime))
-    print(render(substitute(cprime, substitute(power(c, args.n), tprime))))
+    *_, inner = iterate(c, tprime, args.n)
+    print(render(substitute(cprime, inner)))
     return 0
 
 

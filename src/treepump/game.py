@@ -21,6 +21,7 @@ from .terms import (
     Tree,
     check_marks,
     is_strict_prefix,
+    iterate,
     split,
     substitute,
     walk,
@@ -222,22 +223,20 @@ def enumerate_decompositions(
     return out
 
 
-def _pump_candidate(d: Candidate, n: int) -> Tree:
-    inner = d.tprime
-    for _ in range(n):
-        inner = substitute(d.c, inner)
-    return substitute(d.cprime, inner)
+def refute(
+    oracle: LanguageOracle, d: Candidate, max_n: int
+) -> tuple[int, Tree] | None:
+    """Smallest n in 0..max_n whose pumped tree leaves the language, if any.
 
-
-def refute(oracle: LanguageOracle, d: Candidate, max_n: int) -> int | None:
-    """Smallest n in 0..max_n whose pumped tree leaves the language, if any."""
+    Returns that n with the pumped tree cprime . c^n . tprime itself, the
+    counterexample; pumping stops at the first n that refutes.
+    """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    inner = d.tprime
-    for n in range(max_n + 1):
-        if not oracle.membership(substitute(d.cprime, inner)):
-            return n
-        inner = substitute(d.c, inner)
+    for n, inner in enumerate(iterate(d.c, d.tprime, max_n)):
+        pumped = substitute(d.cprime, inner)
+        if not oracle.membership(pumped):
+            return n, pumped
     return None
 
 
@@ -249,13 +248,18 @@ def play(
 ) -> GameReport:
     """Adjudicate every legal adversary move; WE_WIN iff all are refuted.
 
-    A tree admitting no legal decomposition is a vacuous win: the adversary
-    cannot move.
+    The presented tree must be in the oracle's language, since a win on a
+    non-member proves nothing; ValueError otherwise. A member admitting no
+    legal decomposition is a vacuous win: the adversary cannot move.
     """
     oracle.alphabet.check_tree(t)
+    if not oracle.membership(t):
+        raise ValueError(f"the tree {t} is not in the language {oracle.name}")
     verdicts = []
     for d in enumerate_decompositions(t, constraint):
-        n = refute(oracle, d, max_n)
-        ce = _pump_candidate(d, n) if n is not None else None
-        verdicts.append(Verdict(d, n, ce, max_n))
+        refuted = refute(oracle, d, max_n)
+        if refuted is None:
+            verdicts.append(Verdict(d, None, None, max_n))
+        else:
+            verdicts.append(Verdict(d, *refuted, max_n))
     return GameReport(tuple(verdicts), max_n)

@@ -11,15 +11,22 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .automata import Dta, accepts, annotate, pumping_constant, run, run_context
-from .decompose import decompose_k, pumping_threshold
+from .automata import (
+    Dta,
+    _states_bottom_up,
+    accepts,
+    pumping_constant,
+    run,
+    run_context,
+)
+from .decompose import Decomposition, decompose_k, pumping_threshold
 from .terms import (
     Context,
     Marking,
     Tree,
     addresses,
     compose,
-    power,
+    iterate,
     size,
     size_context,
     substitute,
@@ -105,6 +112,27 @@ class VerificationReport:
         return [name for name, ok in self.checks if not ok]
 
 
+def _accepted_memo(m: Dta, t: Tree) -> dict[int, str]:
+    """One bottom-up pass over t: the state of every subtree, by id.
+
+    Raises NotAccepted unless t runs to a final state.
+    """
+    memo: dict[int, str | None] = {}
+    q = _states_bottom_up(m, t, None, memo)
+    if q is None or q not in m.final:
+        raise NotAccepted("the automaton rejects this tree")
+    return memo
+
+
+def _cut_states(t: Tree, dec: Decomposition, memo: dict[int, str]) -> list[str]:
+    """The state at each cut address, read from the memo of t's run.
+
+    In the memo of an accepted tree no subtree is stuck (None): a stuck
+    subtree would have made the root stuck too.
+    """
+    return [memo[id(subtree_at(t, a))] for a in dec.cut_addresses]
+
+
 def ogden_decompose(m: Dta, t: Tree, marks: Marking) -> PumpWitness:
     """Extract a pumping witness from an accepted tree with >= p marked nodes.
 
@@ -114,16 +142,13 @@ def ogden_decompose(m: Dta, t: Tree, marks: Marking) -> PumpWitness:
     is chosen. The loop contains at least one mark and the pumped part
     c . tprime at most p of them.
     """
-    if not accepts(m, t):
-        raise NotAccepted("the automaton rejects this tree")
+    memo = _accepted_memo(m, t)
     p = pumping_constant(m)
     if len(marks) < p:
         raise NotEnoughMarks(f"{len(marks)} marks, need at least {p}")
     k = len(m.states)
     dec = decompose_k(t, marks, k)
-    ann = annotate(m, t)
-    assert ann is not None  # accepts(m, t) already held
-    states = [ann[a] for a in dec.cut_addresses]
+    states = _cut_states(t, dec, memo)
     pair = None
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -166,16 +191,13 @@ def ogden_decompose_multi(
     """
     if mfold < 1:
         raise ValueError("mfold must be at least 1")
-    if not accepts(m, t):
-        raise NotAccepted("the automaton rejects this tree")
+    memo = _accepted_memo(m, t)
     k = mfold * len(m.states)
     p = pumping_threshold(m.alphabet.max_rank, k)
     if len(marks) < p:
         raise NotEnoughMarks(f"{len(marks)} marks, need at least {p}")
     dec = decompose_k(t, marks, k)
-    ann = annotate(m, t)
-    assert ann is not None
-    states = [ann[a] for a in dec.cut_addresses]
+    states = _cut_states(t, dec, memo)
     counts = Counter(states)
     top = max(counts.values())
     q = min(s for s, c in counts.items() if c == top)
@@ -194,21 +216,27 @@ def ogden_decompose_multi(
     return MultiPumpWitness(cprime, tuple(chain), tprime, q, p)
 
 
-def pump(w: PumpWitness, n: int) -> Tree:
-    """cprime . c^n . tprime; n = 1 reproduces the source tree exactly."""
+def _pump(cprime: Context, loops: tuple[Context, ...], tprime: Tree, n: int) -> Tree:
+    """cprime . loops[0]^n . ... . loops[-1]^n . tprime, built inside-out.
+
+    The cost is O(n * total loop size) plus cprime's spine.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return substitute(w.cprime, substitute(power(w.c, n), w.tprime))
+    t = tprime
+    for c in reversed(loops):
+        *_, t = iterate(c, t, n)
+    return substitute(cprime, t)
+
+
+def pump(w: PumpWitness, n: int) -> Tree:
+    """cprime . c^n . tprime; n = 1 reproduces the source tree exactly."""
+    return _pump(w.cprime, (w.c,), w.tprime, n)
 
 
 def pump_multi(w: MultiPumpWitness, n: int) -> Tree:
     """cprime . c_1^n . ... . c_m^n . tprime, all loops pumped in lockstep."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    t = w.tprime
-    for c in reversed(w.chain):
-        t = substitute(power(c, n), t)
-    return substitute(w.cprime, t)
+    return _pump(w.cprime, w.chain, w.tprime, n)
 
 
 def verify_witness(

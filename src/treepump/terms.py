@@ -37,6 +37,7 @@ __all__ = [
     "substitute",
     "compose",
     "power",
+    "iterate",
     "split",
     "check_marks",
     "parse_tree",
@@ -123,7 +124,7 @@ class RankedAlphabet:
 
     def check_tree(self, t: Tree) -> None:
         """Raise ValueError unless every node uses a declared symbol at its rank."""
-        for _, node in walk(t):
+        for node in _nodes(t):
             if node.label not in self.symbols:
                 raise ValueError(f"unknown symbol {node.label!r}")
             if len(node.children) != self.symbols[node.label]:
@@ -189,6 +190,15 @@ def walk(t: Tree) -> Iterator[tuple[Address, Tree]]:
             stack.append((addr + (i + 1,), node.children[i]))
 
 
+def _nodes(t: Tree) -> Iterator[Tree]:
+    """The subtrees of t in preorder, without building their addresses."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def addresses(t: Tree) -> Iterator[Address]:
     return (addr for addr, _ in walk(t))
 
@@ -196,7 +206,7 @@ def addresses(t: Tree) -> Iterator[Address]:
 def size(t: Tree) -> int:
     """Number of nodes."""
     n = 0
-    for _ in walk(t):
+    for _ in _nodes(t):
         n += 1
     return n
 
@@ -235,25 +245,46 @@ def replace_at(t: Tree, addr: Address, replacement: Tree) -> Tree:
 class Context:
     """A tree over the alphabet plus ``@`` with exactly one hole, at a leaf.
 
-    `hole_address` is derived from the shape on construction. The size of a
-    context never counts the hole.
+    `Context(shape)` validates the shape and derives `hole_address` from it
+    in one pass over the nodes. The operations below (`context_at`,
+    `compose`, `power`, `split`) already know where the hole lands and skip
+    that pass. The size of a context never counts the hole.
     """
 
     shape: Tree
     hole_address: Address = field(init=False)
 
     def __post_init__(self) -> None:
-        holes = [addr for addr, node in walk(self.shape) if node.label == HOLE]
+        holes: list[tuple[Address, Tree]] = []
+        path: list[int] = []  # path[d] is the child index taken at depth d
+        stack: list[tuple[Tree, int, int]] = [(self.shape, 0, 0)]
+        while stack:
+            node, depth, idx = stack.pop()
+            del path[depth:]
+            path.append(idx)
+            if node.label == HOLE:
+                holes.append((tuple(path[1:]), node))
+            for i in range(len(node.children) - 1, -1, -1):
+                stack.append((node.children[i], depth + 1, i + 1))
         if len(holes) != 1:
             raise ValueError(f"a context needs exactly one hole, found {len(holes)}")
-        if subtree_at(self.shape, holes[0]).children:
+        addr, hole = holes[0]
+        if hole.children:
             raise ValueError("the hole must be a leaf")
-        object.__setattr__(self, "hole_address", holes[0])
+        object.__setattr__(self, "hole_address", addr)
+
+    @classmethod
+    def _known(cls, shape: Tree, hole_address: Address) -> Context:
+        """A context whose caller already knows the hole; nothing is re-checked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "shape", shape)
+        object.__setattr__(c, "hole_address", hole_address)
+        return c
 
     @classmethod
     def identity(cls) -> Context:
         """The bare hole: substitution into it returns the argument unchanged."""
-        return cls(Tree(HOLE))
+        return cls._known(Tree(HOLE), ())
 
     def __str__(self) -> str:
         return render(self.shape)
@@ -265,8 +296,13 @@ def size_context(c: Context) -> int:
 
 
 def context_at(t: Tree, addr: Address) -> Context:
-    """The complement of the subtree at addr: t with that subtree holed out."""
-    return Context(replace_at(t, addr, Tree(HOLE)))
+    """The complement of the subtree at addr: t with that subtree holed out.
+
+    t must be hole-free (a tree, not a context's shape): the new hole at
+    addr is then the only one and is not searched for. The cost is
+    O(|addr| * max rank), the spine rebuilt by replace_at.
+    """
+    return Context._known(replace_at(t, addr, Tree(HOLE)), addr)
 
 
 def substitute(c: Context, t: Tree) -> Tree:
@@ -275,18 +311,41 @@ def substitute(c: Context, t: Tree) -> Tree:
 
 
 def compose(outer: Context, inner: Context) -> Context:
-    """The context whose substitution acts as outer after inner."""
-    return Context(replace_at(outer.shape, outer.hole_address, inner.shape))
+    """The context whose substitution acts as outer after inner.
+
+    The hole lands at outer.hole_address + inner.hole_address; only outer's
+    spine down to its hole is rebuilt, and inner's shape is shared.
+    """
+    return Context._known(
+        replace_at(outer.shape, outer.hole_address, inner.shape),
+        outer.hole_address + inner.hole_address,
+    )
+
+
+def iterate(c: Context, t: Tree, n: int) -> Iterator[Tree]:
+    """Yield c^k . t for k = 0, 1, ..., n, built inside-out.
+
+    Step k plugs step k-1 into a fresh copy of c's spine down to its hole,
+    so all n+1 trees together cost O(n * |c|) and share their lower parts.
+    This is the one place a context is pumped: `power`, `pump`,
+    `pump_multi`, the game's `refute` and the CLI's `pump` all use it.
+    """
+    if n < 0:
+        raise ValueError("negative context power")
+    yield t
+    for _ in range(n):
+        t = replace_at(c.shape, c.hole_address, t)
+        yield t
 
 
 def power(c: Context, n: int) -> Context:
-    """n-fold self-composition; power(c, 0) is the bare hole."""
-    if n < 0:
-        raise ValueError("negative context power")
-    out = Context.identity()
-    for _ in range(n):
-        out = compose(out, c)
-    return out
+    """n-fold self-composition; power(c, 0) is the bare hole.
+
+    Linear in n * |c|: built inside-out by `iterate`, hole at
+    c.hole_address repeated n times.
+    """
+    *_, shape = iterate(c, Tree(HOLE), n)
+    return Context._known(shape, c.hole_address * n)
 
 
 def split(t: Tree, u: Address, v: Address) -> tuple[Context, Context, Tree]:
@@ -315,21 +374,26 @@ def check_marks(t: Tree, marks: Iterable[Address]) -> None:
 
 
 def render(t: Tree, marks: Iterable[Address] = frozenset()) -> str:
-    """Canonical concrete syntax; marked addresses carry a ``!`` suffix."""
+    """Canonical concrete syntax; marked addresses carry a ``!`` suffix.
+
+    Addresses are carried along only when there are marks to look up, so an
+    unmarked render is linear in the size of t.
+    """
     marks = marks if isinstance(marks, (set, frozenset)) else frozenset(marks)
     parts: list[str] = []
-    stack: list[str | tuple[Address, Tree]] = [((), t)]
+    stack: list[str | tuple[Address | None, Tree]] = [((), t)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
             continue
         addr, node = item
-        parts.append(node.label + ("!" if addr in marks else ""))
+        parts.append(node.label + ("!" if marks and addr in marks else ""))
         if node.children:
             stack.append(")")
             for i in range(len(node.children) - 1, -1, -1):
-                stack.append((addr + (i + 1,), node.children[i]))
+                child = addr + (i + 1,) if marks else None
+                stack.append((child, node.children[i]))
                 if i:
                     stack.append(",")
             stack.append("(")
@@ -356,7 +420,7 @@ def parse_context(
     shape, marks, holes = _parse(text, alphabet, allow_hole=True)
     if not holes:
         raise ParseError("context contains no hole '@'", len(text) + 1)
-    return Context(shape), marks
+    return Context._known(shape, holes[0]), marks
 
 
 def _parse(
@@ -416,16 +480,15 @@ def _parse(
                 raise fail(f"expected a symbol name, found {text[pos]!r}", pos)
             name = m.group()
             pos = m.end()
-        here = tuple(path)
         if pos < n and text[pos] == "!":
             if name == HOLE:
                 raise fail("the hole cannot be marked", pos)
-            marks.add(here)
+            marks.add(tuple(path))
             pos += 1
         if name == HOLE:
             if holes:
                 raise fail("a context has exactly one hole, found a second", name_at)
-            holes.append(here)
+            holes.append(tuple(path))
         skip_ws()
         if pos < n and text[pos] == "(":
             if name == HOLE:
@@ -465,7 +528,7 @@ def infer_alphabet(*items: Tree | Context) -> RankedAlphabet:
     ranks: dict[str, int] = {}
     for item in items:
         t = item.shape if isinstance(item, Context) else item
-        for _, node in walk(t):
+        for node in _nodes(t):
             if node.label == HOLE:
                 continue
             prev = ranks.get(node.label)

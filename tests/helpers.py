@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the library's code paths:
 `all_trees` enumerates by brute force, `naive_run` evaluates recursively,
-`naive_interesting` iterates a fixpoint. Expected values frozen into tests
+`naive_interesting` iterates a fixpoint, `naive_pump` substitutes one
+copy of a context at a time. Expected values frozen into tests
 were produced by these or by hand evaluation noted inline.
 """
 
@@ -12,11 +13,13 @@ import itertools
 import random
 
 from treepump import (
+    Context,
     Dta,
     RankedAlphabet,
     Tree,
     addresses,
     is_prefix,
+    substitute,
     walk,
 )
 
@@ -88,6 +91,13 @@ def naive_run(m: Dta, t: Tree) -> str | None:
             return None
         states.append(q)
     return m.transitions.get((t.label, tuple(states)))
+
+
+def naive_pump(c: Context, n: int, t: Tree) -> Tree:
+    """c^n . t as n separate substitutions, innermost first."""
+    for _ in range(n):
+        t = substitute(c, t)
+    return t
 
 
 def naive_interesting(t: Tree, marks) -> frozenset:

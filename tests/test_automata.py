@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import treepump.automata as automata
 from treepump import (
     AutomatonError,
     Dta,
@@ -218,6 +219,30 @@ def test_enumerate_empty_final():
 def test_enumerate_rejects_bad_bound(l3):
     with pytest.raises(ValueError):
         enumerate_language(l3, 0)
+
+
+def test_enumerate_self_check_evaluates_every_tree(parity, monkeypatch):
+    real = automata._states_bottom_up
+    seen = []
+
+    def spy(m, t, hole_state, memo=None):
+        seen.append(t)
+        return real(m, t, hole_state, memo)
+
+    monkeypatch.setattr(automata, "_states_bottom_up", spy)
+    out = enumerate_language(parity, 6)
+    assert len(out) > 5
+    assert sorted(map(id, seen)) == sorted(map(id, out))
+
+    def fifth_rejected(m, t, hole_state, memo=None):
+        seen.append(t)
+        q = real(m, t, hole_state, memo)
+        return None if len(seen) == 5 else q
+
+    seen.clear()
+    monkeypatch.setattr(automata, "_states_bottom_up", fifth_rejected)
+    with pytest.raises(RuntimeError, match="rejected tree"):
+        enumerate_language(parity, 6)
 
 
 def test_enumerate_is_deterministic(parity):

@@ -7,6 +7,8 @@ import pytest
 
 from treepump.cli import cli_main
 
+from helpers import L3_TEXT, PARITY_TEXT
+
 PARTIAL_TEXT = """\
 alphabet: f/2 g/1 a/0
 states: q
@@ -349,6 +351,22 @@ def test_game_wrong_alphabet_tree(capsys):
     assert err.startswith("error:")
 
 
+def test_game_non_member_is_usage_error(capsys):
+    code, out, err = invoke(
+        capsys,
+        "game",
+        "--oracle",
+        "L1",
+        "--mode",
+        "classic",
+        "--p",
+        "5",
+        "f(g(a),g(g(a)))",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "not in the language" in err
+
+
 # ----------------------------------------------------------------- argparse
 
 
@@ -415,3 +433,217 @@ def test_golden_member(l3_file):
     second = run_cli(args)
     assert first == second
     assert first == (0, b"accept\n", b"")
+
+
+# ------------------------------------------------------- byte-exact goldens
+
+UPTO2_TEXT = """\
+# unary chains with one or two g above the leaf
+alphabet: g/1 a/0
+states: z o t
+final: o t
+trans: a -> z
+trans: g(z) -> o
+trans: g(o) -> t
+"""
+
+# stdout captured from the outside-in implementation of power/compose;
+# the known-hole rewrite must reproduce it byte for byte
+GOLDENS = [
+    (
+        'ogden_parity',
+        ['ogden', 'parity.dta', 'f!(g!(a!),g!(g!(g!(a!))))'],
+        0,
+        'cprime: f(g(a),g(@))\n'
+        'c: g(@)\n'
+        'tprime: g(a)\n'
+        'state: q1\n'
+        'p_used: 7\n'
+        'check tprime_state: ok\n'
+        'check loop_state: ok\n'
+        'check cprime_final: ok\n'
+        'check pump_n0: ok\n'
+        'check pump_n1: ok\n'
+        'check pump_n2: ok\n'
+        'check pump_n3: ok\n'
+        'check pump_n4: ok\n'
+        'check pump_n5: ok\n'
+        'verdict: pass\n',
+    ),
+    (
+        'ogden_marks_flag',
+        ['ogden', '--marks', '1,1.1,1.1.1,2,2.1,2.1.1,2.1.2', 'parity.dta', 'f(g(g(f(a,a))),g(f(a,g(a))))'],
+        0,
+        'cprime: f(@,g(f(a,g(a))))\n'
+        'c: g(@)\n'
+        'tprime: g(f(a,a))\n'
+        'state: q0\n'
+        'p_used: 7\n'
+        'check tprime_state: ok\n'
+        'check loop_state: ok\n'
+        'check cprime_final: ok\n'
+        'check pump_n0: ok\n'
+        'check pump_n1: ok\n'
+        'check pump_n2: ok\n'
+        'check pump_n3: ok\n'
+        'check pump_n4: ok\n'
+        'check pump_n5: ok\n'
+        'verdict: pass\n',
+    ),
+    (
+        'ogden_multi',
+        ['ogden-multi', '--m', '2', 'l3.dta', 'g!(g(g!(g(g!(g(g!(a)))))))'],
+        0,
+        'cprime: g(g(@))\n'
+        'c1: g(g(@))\n'
+        'c2: g(g(@))\n'
+        'tprime: g(a)\n'
+        'state: q\n'
+        'p_used: 3\n'
+        'check tprime_state: ok\n'
+        'check loop_state_c1: ok\n'
+        'check loop_state_c2: ok\n'
+        'check cprime_final: ok\n'
+        'check pump_n0: ok\n'
+        'check pump_n1: ok\n'
+        'check pump_n2: ok\n'
+        'check pump_n3: ok\n'
+        'check pump_n4: ok\n'
+        'check pump_n5: ok\n'
+        'verdict: pass\n',
+    ),
+    (
+        'ogden_multi_parity',
+        ['ogden-multi', '--m', '2', '--max-n', '3', 'parity.dta', 'g!(f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,f!(a!,a!))))))))))))))))'],
+        0,
+        'cprime: g(f(a,f(a,f(a,f(a,f(a,f(a,f(a,f(a,f(a,f(a,f(a,@))))))))))))\n'
+        'c1: f(a,f(a,@))\n'
+        'c2: f(a,f(@,a))\n'
+        'tprime: a\n'
+        'state: q1\n'
+        'p_used: 31\n'
+        'check tprime_state: ok\n'
+        'check loop_state_c1: ok\n'
+        'check loop_state_c2: ok\n'
+        'check cprime_final: ok\n'
+        'check pump_n0: ok\n'
+        'check pump_n1: ok\n'
+        'check pump_n2: ok\n'
+        'check pump_n3: ok\n'
+        'verdict: pass\n',
+    ),
+    (
+        'pump',
+        ['pump', 'f(@,a)', 'g(f(a,@))', 'g(a)', '--n', '7'],
+        0,
+        'f(g(f(a,g(f(a,g(f(a,g(f(a,g(f(a,g(f(a,g(f(a,g(a))))))))))))))),a)\n',
+    ),
+    (
+        'decompose',
+        ['decompose', '--k', '2', 'f!(g!(a!),f!(g!(a!),g(a!)))'],
+        0,
+        'cprime: f(g(a),@)\n'
+        'c1: f(@,g(a))\n'
+        'c2: g(@)\n'
+        'tprime: a\n'
+        'cuts: 2,2.1,2.1.1\n',
+    ),
+    (
+        'game_l1_classic',
+        ['game', '--oracle', 'L1', '--mode', 'classic', '--p', '4', '--max-n', '3', 'f(g(g(a)),g(g(a)))'],
+        0,
+        'oracle: L1\n'
+        'mode: classic\n'
+        'p: 4\n'
+        'max_n: 3\n'
+        'decompositions: 6\n'
+        'd1: u=1 v=1.1 c=g(@) tprime=g(a) -> refuted n=0 counterexample=f(g(a),g(g(a)))\n'
+        'd2: u=1 v=1.1.1 c=g(g(@)) tprime=a -> refuted n=0 counterexample=f(a,g(g(a)))\n'
+        'd3: u=1.1 v=1.1.1 c=g(@) tprime=a -> refuted n=0 counterexample=f(g(a),g(g(a)))\n'
+        'd4: u=2 v=2.1 c=g(@) tprime=g(a) -> refuted n=0 counterexample=f(g(g(a)),g(a))\n'
+        'd5: u=2 v=2.1.1 c=g(g(@)) tprime=a -> refuted n=0 counterexample=f(g(g(a)),a)\n'
+        'd6: u=2.1 v=2.1.1 c=g(@) tprime=a -> refuted n=0 counterexample=f(g(g(a)),g(a))\n'
+        'overall: WE_WIN\n',
+    ),
+    (
+        'game_l2_ogden',
+        ['game', '--oracle', 'L2', '--mode', 'ogden', '--p', '3', '--max-n', '3', '--marks', '1,2,1.1', 'f(g(h(a)),g(h(h(a))))'],
+        0,
+        'oracle: L2\n'
+        'mode: ogden\n'
+        'p: 3\n'
+        'max_n: 3\n'
+        'decompositions: 13\n'
+        'd1: u=e v=1 c=f(@,g(h(h(a)))) tprime=g(h(a)) -> refuted n=0 counterexample=g(h(a))\n'
+        'd2: u=e v=1.1 c=f(g(@),g(h(h(a)))) tprime=h(a) -> refuted n=0 counterexample=h(a)\n'
+        'd3: u=e v=1.1.1 c=f(g(h(@)),g(h(h(a)))) tprime=a -> refuted n=0 counterexample=a\n'
+        'd4: u=e v=2 c=f(g(h(a)),@) tprime=g(h(h(a))) -> refuted n=0 counterexample=g(h(h(a)))\n'
+        'd5: u=e v=2.1 c=f(g(h(a)),g(@)) tprime=h(h(a)) -> refuted n=0 counterexample=h(h(a))\n'
+        'd6: u=e v=2.1.1 c=f(g(h(a)),g(h(@))) tprime=h(a) -> refuted n=0 counterexample=h(a)\n'
+        'd7: u=e v=2.1.1.1 c=f(g(h(a)),g(h(h(@)))) tprime=a -> refuted n=0 counterexample=a\n'
+        'd8: u=1 v=1.1 c=g(@) tprime=h(a) -> refuted n=0 counterexample=f(h(a),g(h(h(a))))\n'
+        'd9: u=1 v=1.1.1 c=g(h(@)) tprime=a -> refuted n=0 counterexample=f(a,g(h(h(a))))\n'
+        'd10: u=1.1 v=1.1.1 c=h(@) tprime=a -> refuted n=0 counterexample=f(g(a),g(h(h(a))))\n'
+        'd11: u=2 v=2.1 c=g(@) tprime=h(h(a)) -> refuted n=0 counterexample=f(g(h(a)),h(h(a)))\n'
+        'd12: u=2 v=2.1.1 c=g(h(@)) tprime=h(a) -> refuted n=0 counterexample=f(g(h(a)),h(a))\n'
+        'd13: u=2 v=2.1.1.1 c=g(h(h(@))) tprime=a -> refuted n=0 counterexample=f(g(h(a)),a)\n'
+        'overall: WE_WIN\n',
+    ),
+    (
+        'game_dta_classic',
+        ['game', '--oracle', 'dta:upto2.dta', '--mode', 'classic', '--p', '3', '--max-n', '3', 'g(g(a))'],
+        0,
+        'oracle: dta:upto2.dta\n'
+        'mode: classic\n'
+        'p: 3\n'
+        'max_n: 3\n'
+        'decompositions: 3\n'
+        'd1: u=e v=1 c=g(@) tprime=g(a) -> refuted n=2 counterexample=g(g(g(a)))\n'
+        'd2: u=e v=1.1 c=g(g(@)) tprime=a -> refuted n=0 counterexample=a\n'
+        'd3: u=1 v=1.1 c=g(@) tprime=a -> refuted n=2 counterexample=g(g(g(a)))\n'
+        'overall: WE_WIN\n',
+    ),
+    (
+        'game_dta_ogden',
+        ['game', '--oracle', 'dta:upto2.dta', '--mode', 'ogden', '--p', '2', '--max-n', '4', '--marks', '1', 'g(g(a))'],
+        0,
+        'oracle: dta:upto2.dta\n'
+        'mode: ogden\n'
+        'p: 2\n'
+        'max_n: 4\n'
+        'decompositions: 2\n'
+        'd1: u=e v=1.1 c=g(g(@)) tprime=a -> refuted n=0 counterexample=a\n'
+        'd2: u=1 v=1.1 c=g(@) tprime=a -> refuted n=2 counterexample=g(g(g(a)))\n'
+        'overall: WE_WIN\n',
+    ),
+    (
+        'game_dta_survives',
+        ['game', '--oracle', 'dta:l3.dta', '--mode', 'ogden', '--p', '2', '--max-n', '2', '--marks', '1,1.1', 'g(g(g(a)))'],
+        1,
+        'oracle: dta:l3.dta\n'
+        'mode: ogden\n'
+        'p: 2\n'
+        'max_n: 2\n'
+        'decompositions: 5\n'
+        'd1: u=e v=1.1 c=g(g(@)) tprime=g(a) -> unrefuted up_to=2\n'
+        'd2: u=e v=1.1.1 c=g(g(g(@))) tprime=a -> unrefuted up_to=2\n'
+        'd3: u=1 v=1.1 c=g(@) tprime=g(a) -> unrefuted up_to=2\n'
+        'd4: u=1 v=1.1.1 c=g(g(@)) tprime=a -> unrefuted up_to=2\n'
+        'd5: u=1.1 v=1.1.1 c=g(@) tprime=a -> unrefuted up_to=2\n'
+        'overall: ADVERSARY_SURVIVES\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,expected", [g[1:] for g in GOLDENS], ids=[g[0] for g in GOLDENS]
+)
+def test_golden_stdout(capsys, tmp_path, monkeypatch, argv, code, expected):
+    for name, text in [
+        ("l3.dta", L3_TEXT),
+        ("parity.dta", PARITY_TEXT),
+        ("upto2.dta", UPTO2_TEXT),
+    ]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # game prints the oracle argument verbatim
+    assert invoke(capsys, *argv) == (code, expected, "")

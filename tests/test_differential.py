@@ -1,0 +1,225 @@
+"""Differential tests of the known-hole fast paths against naive references.
+
+Pumping builds c^n inside-out and every context operation states its hole
+address instead of searching for it; these tests compare both against
+`naive_pump` and against `Context(shape)`, which re-validates a shape and
+re-derives its hole with a full walk. Cut states come from one memoised run of
+the automaton and are compared with `naive_run` on each cut subtree.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from treepump import (
+    HOLE,
+    Context,
+    MultiPumpWitness,
+    NotEnoughInteresting,
+    PumpWitness,
+    RankedAlphabet,
+    Tree,
+    addresses,
+    compose,
+    context_at,
+    decompose_k,
+    g_sigma,
+    ogden_decompose,
+    ogden_decompose_multi,
+    power,
+    pump,
+    pump_multi,
+    size,
+    split,
+    substitute,
+    subtree_at,
+)
+from treepump.pump import _accepted_memo, _cut_states
+
+from helpers import (
+    accepted_count,
+    naive_pump,
+    naive_run,
+    random_alphabet,
+    random_ancestor_pair,
+    random_dta,
+    random_marking,
+    random_tree,
+    sample_accepted,
+    state_size_counts,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+# mostly unary, so pumped contexts grow into deep chains
+CHAINY = RankedAlphabet({"a": 0, "u": 1, "v": 1, "f": 2})
+
+
+def random_context(rng: random.Random, alphabet: RankedAlphabet, nodes: int) -> Context:
+    """A nonempty context: a random tree of `nodes` >= 2 nodes, holed below the root."""
+    t = random_tree(rng, alphabet, nodes)
+    return context_at(t, rng.choice([a for a in addresses(t) if a]))
+
+
+def revalidated(c: Context) -> Context:
+    return Context(c.shape)
+
+
+# ------------------------------------------------------------------ pumping
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(0, 12))
+def test_power_matches_naive(seed, n):
+    rng = random.Random(seed)
+    c = random_context(rng, random_alphabet(rng), rng.randrange(2, 12))
+    assert power(c, n) == Context(naive_pump(c, n, Tree(HOLE)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(0, 12), st.integers(1, 3))
+def test_pump_and_pump_multi_match_naive(seed, n, loops):
+    rng = random.Random(seed)
+    alphabet = random_alphabet(rng)
+    cprime = Context.identity()
+    if rng.random() < 0.5:
+        cprime = random_context(rng, alphabet, rng.randrange(2, 8))
+    chain = tuple(
+        random_context(rng, alphabet, rng.randrange(2, 8)) for _ in range(loops)
+    )
+    tprime = random_tree(rng, alphabet, rng.randrange(1, 8))
+
+    single = PumpWitness(cprime, chain[0], tprime, "q", 1)
+    assert pump(single, n) == substitute(cprime, naive_pump(chain[0], n, tprime))
+
+    multi = MultiPumpWitness(cprime, chain, tprime, "q", 1)
+    inner = tprime
+    for c in reversed(chain):
+        inner = naive_pump(c, n, inner)
+    assert pump_multi(multi, n) == substitute(cprime, inner)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seeds, st.integers(5000, 6000))
+def test_pumping_deep_chains_matches_naive(seed, n):
+    # every result has more than 5000 nodes, most of them on one spine
+    rng = random.Random(seed)
+    c = random_context(rng, CHAINY, rng.randrange(2, 5))
+    tprime = random_tree(rng, CHAINY, rng.randrange(1, 4))
+    expected = naive_pump(c, n, tprime)
+    assert size(expected) > 5000
+
+    p = power(c, n)
+    assert p == revalidated(p)
+    assert substitute(p, tprime) == expected
+
+    w = PumpWitness(Context.identity(), c, tprime, "q", 1)
+    assert pump(w, n) == expected
+    multi = MultiPumpWitness(Context.identity(), (c, c), tprime, "q", 1)
+    assert pump_multi(multi, n // 2) == naive_pump(c, 2 * (n // 2), tprime)
+
+
+# ------------------------------------------------- known-hole constructors
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_context_ops_agree_with_revalidation(seed):
+    rng = random.Random(seed)
+    alphabet = random_alphabet(rng)
+    t = random_tree(rng, alphabet, rng.randrange(2, 30))
+
+    for a in addresses(t):
+        c = context_at(t, a)
+        assert c == revalidated(c)
+        assert c.hole_address == a
+
+    u, v = random_ancestor_pair(rng, t)
+    cprime, c, _ = split(t, u, v)
+    assert cprime == revalidated(cprime)
+    assert c == revalidated(c)
+
+    outer = random_context(rng, alphabet, rng.randrange(2, 10))
+    inner = random_context(rng, alphabet, rng.randrange(2, 10))
+    for x, y in [(outer, inner), (inner, outer), (Context.identity(), inner)]:
+        both = compose(x, y)
+        assert both == revalidated(both)
+    assert compose(outer, Context.identity()) == outer
+
+    for n in range(4):
+        p = power(outer, n)
+        assert p == revalidated(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 3))
+def test_decompose_k_contexts_agree_with_revalidation(seed, k):
+    rng = random.Random(seed)
+    t = random_tree(rng, random_alphabet(rng), rng.randrange(k + 1, 40))
+    marks = frozenset(addresses(t))
+    if rng.random() < 0.5:
+        marks = random_marking(rng, t, rng.randrange(1, size(t) + 1))
+    try:
+        d = decompose_k(t, marks, k)
+    except NotEnoughInteresting:
+        assume(False)
+    for c in (d.cprime, *d.chain):
+        assert c == revalidated(c)
+
+
+# -------------------------------------------------------------- cut states
+
+
+def accepted_instance(rng: random.Random, n_states: int, k: int):
+    """A random machine with an accepted tree of size in [p, p+5], p = g(2, k)."""
+    p = g_sigma(2, k)
+    for _ in range(300):
+        m = random_dta(rng, n_states)
+        counts = state_size_counts(m, p + 5)
+        viable = [s for s in range(p, p + 6) if accepted_count(m, counts, s)]
+        if viable:
+            return m, sample_accepted(rng, m, rng.choice(viable), counts)
+    raise AssertionError("no usable machine after 300 draws")
+
+
+def pick_marks(rng: random.Random, t: Tree, p: int):
+    if rng.random() < 0.5:
+        return frozenset(addresses(t))
+    return random_marking(rng, t, rng.randrange(p, size(t) + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 3))
+def test_cut_states_match_naive_run(seed, n_states):
+    rng = random.Random(seed)
+    m, t = accepted_instance(rng, n_states, n_states)
+    marks = pick_marks(rng, t, g_sigma(2, n_states))
+
+    d = decompose_k(t, marks, n_states)
+    states = _cut_states(t, d, _accepted_memo(m, t))
+    assert states == [naive_run(m, subtree_at(t, a)) for a in d.cut_addresses]
+
+    w = ogden_decompose(m, t, marks)
+    u = w.cprime.hole_address
+    v = u + w.c.hole_address
+    assert naive_run(m, subtree_at(t, u)) == w.q
+    assert naive_run(m, subtree_at(t, v)) == w.q
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+def test_multi_cut_states_match_naive_run(seed, combo):
+    n_states, mfold = combo
+    rng = random.Random(seed)
+    m, t = accepted_instance(rng, n_states, mfold * n_states)
+    marks = pick_marks(rng, t, g_sigma(2, mfold * n_states))
+
+    w = ogden_decompose_multi(m, t, marks, mfold)
+    spot = w.cprime.hole_address
+    assert naive_run(m, subtree_at(t, spot)) == w.q
+    for c in w.chain:
+        spot = spot + c.hole_address
+        assert naive_run(m, subtree_at(t, spot)) == w.q

@@ -175,7 +175,8 @@ def test_refute_desynced_g_loop():
     t = T("f(g(g(a)),g(g(a)))")
     _, c, tp = split(t, (1, 1), (1, 1, 1))
     cand = Candidate((1, 1), (1, 1, 1), split(t, (1, 1), (1, 1, 1))[0], c, tp)
-    assert refute(oracle, cand, 5) == 0  # n=0 already desyncs the branches
+    # n=0 already desyncs the branches; the counterexample comes along
+    assert refute(oracle, cand, 5) == (0, T("f(g(a),g(g(a)))"))
 
 
 def test_refute_h_loop_never_leaves_l2():
@@ -255,6 +256,13 @@ def test_play_vacuous_win():
     report = play(oracle, t, GameConstraint.classic(1), max_n=3)
     assert report.verdicts == ()
     assert report.we_win  # no legal move for the adversary
+
+
+def test_play_rejects_a_non_member():
+    # every move "refutes" at n=1 on a tree outside L1; that win means nothing
+    oracle = builtin_oracle("L1")
+    with pytest.raises(ValueError, match="not in the language"):
+        play(oracle, T("f(g(a),g(g(a)))"), GameConstraint.classic(5))
 
 
 def test_play_checks_alphabet():
