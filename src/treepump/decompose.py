@@ -17,13 +17,12 @@ from .terms import (
     Context,
     Marking,
     Tree,
-    check_marks,
+    _Index,
     context_at,
     is_strict_prefix,
     size_context,
     substitute,
     subtree_at,
-    walk,
 )
 
 __all__ = [
@@ -94,30 +93,58 @@ def recompose(d: Decomposition) -> Tree:
     return substitute(d.cprime, t)
 
 
+def _interesting(ix: _Index, marked: list[bool]) -> list[bool]:
+    """Per-position interestingness, in one reverse-preorder pass.
+
+    Every child comes after its parent in preorder, so walking positions
+    backwards settles each node after all of its children.
+    """
+    parent = ix.parent
+    busy = [0] * len(marked)  # children whose subtree holds an interesting node
+    out = [False] * len(marked)
+    for i in range(len(marked) - 1, -1, -1):
+        here = marked[i] or busy[i] >= 2
+        out[i] = here
+        if i and (here or busy[i]):
+            busy[parent[i]] += 1
+    return out
+
+
+def _best_path(ix: _Index, interesting: list[bool]) -> list[int]:
+    """Positions on the root-to-leaf path richest in interesting nodes.
+
+    One forward pass counts the interesting nodes above and at each
+    position. Ties go to the first such leaf in preorder, which is the
+    lexicographically least one.
+    """
+    parent, end = ix.parent, ix.end
+    count = [0] * len(interesting)
+    best_count, best_leaf = -1, 0
+    for i, here in enumerate(interesting):
+        c = (count[parent[i]] if i else 0) + here
+        count[i] = c
+        if end[i] == i + 1 and c > best_count:
+            best_count, best_leaf = c, i
+    path = []
+    i = best_leaf
+    while i >= 0:
+        path.append(i)
+        i = parent[i]
+    path.reverse()
+    return path
+
+
 def interesting_nodes(t: Tree, marks: Marking) -> frozenset[Address]:
     """Least set containing the marks and closed under branching joins.
 
     A node is interesting iff it is marked, or at least two of its children
-    root subtrees that contain an interesting node. One bottom-up pass
-    suffices because interestingness at a node depends only on its subtree.
+    root subtrees that contain an interesting node. One bottom-up pass over
+    the preorder index suffices because interestingness at a node depends
+    only on its subtree; addresses are built for the result only.
     """
-    check_marks(t, marks)
-    out: set[Address] = set()
-    contains: dict[Address, bool] = {}
-    stack: list[tuple[Address, Tree, bool]] = [((), t, False)]
-    while stack:
-        addr, node, expanded = stack.pop()
-        if not expanded:
-            stack.append((addr, node, True))
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((addr + (i + 1,), node.children[i], False))
-            continue
-        busy = sum(contains[addr + (i + 1,)] for i in range(len(node.children)))
-        here = addr in marks or busy >= 2
-        if here:
-            out.add(addr)
-        contains[addr] = here or busy >= 1
-    return frozenset(out)
+    ix = _Index(t)
+    found = ix.addresses(_interesting(ix, ix.flags(marks)))
+    return frozenset(a for a in found if a is not None)
 
 
 def depth_d(t: Tree, interesting: frozenset[Address], u: Address) -> int:
@@ -132,23 +159,13 @@ def max_interesting_path(
     """Root-to-leaf address sequence visiting the most interesting nodes.
 
     Ties go to the lexicographically least leaf, which is the first one in
-    preorder, so a single scan with a strict improvement test settles it.
+    preorder. Every interesting address must denote a node of t.
     """
     if not interesting:
         raise ValueError("no interesting nodes")
-    best_count = -1
-    best_leaf: Address = ()
-    stack: list[tuple[Address, Tree, int]] = [((), t, 0)]
-    while stack:
-        addr, node, above = stack.pop()
-        count = above + (addr in interesting)
-        if not node.children:
-            if count > best_count:
-                best_count, best_leaf = count, addr
-            continue
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((addr + (i + 1,), node.children[i], count))
-    return [best_leaf[:i] for i in range(len(best_leaf) + 1)]
+    ix = _Index(t)
+    leaf = ix.address(_best_path(ix, ix.flags(interesting))[-1])
+    return [leaf[:i] for i in range(len(leaf) + 1)]
 
 
 def decompose_k(t: Tree, marks: Marking, k: int) -> Decomposition:
@@ -164,21 +181,33 @@ def decompose_k(t: Tree, marks: Marking, k: int) -> Decomposition:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    interesting = interesting_nodes(t, marks)
-    if not interesting:
+    ix = _Index(t)
+    return _decompose(ix, ix.flags(marks), k)
+
+
+def _decompose(ix: _Index, marked: list[bool], k: int) -> Decomposition:
+    """decompose_k on a preorder index with per-position mark flags.
+
+    Address tuples are built for the k+1 cuts only, as prefixes of the
+    chosen leaf's address.
+    """
+    interesting = _interesting(ix, marked)
+    if not any(interesting):
         raise NotEnoughInteresting(
             f"no interesting nodes at all, need a path with {k + 1}"
         )
-    path = max_interesting_path(t, interesting)
-    on_path = [a for a in path if a in interesting]
+    path = _best_path(ix, interesting)
+    on_path = [d for d, i in enumerate(path) if interesting[i]]  # depths
     if len(on_path) < k + 1:
         raise NotEnoughInteresting(
             f"best path visits {len(on_path)} interesting nodes, need {k + 1}"
         )
-    cuts = tuple(on_path[-(k + 1) :])
-    cprime = context_at(t, cuts[0])
-    chain = []
-    for u, v in zip(cuts, cuts[1:]):
-        chain.append(context_at(subtree_at(t, u), v[len(u) :]))
-    tprime = subtree_at(t, cuts[-1])
-    return Decomposition(cprime, tuple(chain), tprime, cuts)
+    depths = on_path[-(k + 1) :]
+    leaf = ix.address(path[-1])
+    nodes = ix.nodes
+    cprime = context_at(nodes[0], leaf[: depths[0]])
+    chain = tuple(
+        context_at(nodes[path[a]], leaf[a:b]) for a, b in zip(depths, depths[1:])
+    )
+    tprime = nodes[path[depths[-1]]]
+    return Decomposition(cprime, chain, tprime, tuple(leaf[:d] for d in depths))

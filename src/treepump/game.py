@@ -19,12 +19,10 @@ from .terms import (
     Marking,
     RankedAlphabet,
     Tree,
-    check_marks,
-    is_strict_prefix,
+    _Index,
+    context_at,
     iterate,
-    split,
     substitute,
-    walk,
 )
 
 __all__ = [
@@ -186,40 +184,38 @@ def enumerate_decompositions(
 ) -> list[Candidate]:
     """Every legal decomposition, ordered lexicographically by (u, v).
 
-    Walks all strict ancestor pairs; admissibility is decided from per-subtree
-    size and mark counts before any context is built.
+    Walks all strict ancestor pairs on the preorder index: the descendants
+    of position u are u+1 .. end[u]-1, so preorder on u and then on v is the
+    lexicographic order. Admissibility is decided from subtree sizes
+    (end[u] - u) and mark counts before any context or address is built,
+    and cprime is built once per u. The cost is O(N) plus the candidates.
     """
-    nodes = list(walk(t))  # preorder = lexicographic
-    index = {addr: i for i, (addr, _) in enumerate(nodes)}
-    sizes: dict[Address, int] = {}
-    marked: dict[Address, int] = {}
-    if constraint.mode == "ogden":
+    ix = _Index(t)
+    nodes, end = ix.nodes, ix.end
+    ogden = constraint.mode == "ogden"
+    if ogden:  # load: marks per subtree
         assert constraint.marks is not None
-        check_marks(t, constraint.marks)
-    for addr, node in reversed(nodes):
-        k = len(node.children)
-        sizes[addr] = 1 + sum(sizes[addr + (i + 1,)] for i in range(k))
-        if constraint.mode == "ogden":
-            marked[addr] = (addr in constraint.marks) + sum(
-                marked[addr + (i + 1,)] for i in range(k)
-            )
+        load = [int(f) for f in ix.flags(constraint.marks)]
+        for i in range(len(nodes) - 1, 0, -1):
+            load[ix.parent[i]] += load[i]
+    else:  # load: nodes per subtree
+        load = [end[i] - i for i in range(len(nodes))]
+    # loads only shrink downwards, so every descendant of an admitted u is
+    # admitted too, and addresses are built for admitted positions only
+    admitted = [x <= constraint.p for x in load]
+    addrs = ix.addresses(admitted)
     out: list[Candidate] = []
-    for i, (u, _) in enumerate(nodes):
-        if constraint.mode == "classic":
-            if sizes[u] > constraint.p:
+    for u in range(len(nodes)):
+        if not admitted[u]:
+            continue
+        cprime = None
+        for v in range(u + 1, end[u]):
+            if ogden and load[u] - load[v] < 1:
                 continue
-        else:
-            if marked[u] > constraint.p:
-                continue
-        # descendants of u sit in one contiguous preorder block right after it
-        j = i + 1
-        while j < len(nodes) and is_strict_prefix(u, nodes[j][0]):
-            v = nodes[j][0]
-            j += 1
-            if constraint.mode == "ogden" and marked[u] - marked[v] < 1:
-                continue
-            cprime, c, tprime = split(t, u, v)
-            out.append(Candidate(u, v, cprime, c, tprime))
+            if cprime is None:
+                cprime = context_at(t, addrs[u])
+            c = context_at(nodes[u], addrs[v][len(addrs[u]) :])
+            out.append(Candidate(addrs[u], addrs[v], cprime, c, nodes[v]))
     return out
 
 

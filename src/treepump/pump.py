@@ -19,15 +19,14 @@ from .automata import (
     run,
     run_context,
 )
-from .decompose import Decomposition, decompose_k, pumping_threshold
+from .decompose import Decomposition, _decompose, decompose_k, pumping_threshold
 from .terms import (
     Context,
     Marking,
     Tree,
-    addresses,
+    _Index,
     compose,
     iterate,
-    size,
     size_context,
     substitute,
     subtree_at,
@@ -146,8 +145,14 @@ def ogden_decompose(m: Dta, t: Tree, marks: Marking) -> PumpWitness:
     p = pumping_constant(m)
     if len(marks) < p:
         raise NotEnoughMarks(f"{len(marks)} marks, need at least {p}")
-    k = len(m.states)
-    dec = decompose_k(t, marks, k)
+    ix = _Index(t)
+    return _single_loop(t, memo, _decompose(ix, ix.flags(marks), len(m.states)), p)
+
+
+def _single_loop(
+    t: Tree, memo: dict[int, str], dec: Decomposition, p: int
+) -> PumpWitness:
+    """Fold a |Q|-cut decomposition of t into the witness ogden_decompose picks."""
     states = _cut_states(t, dec, memo)
     pair = None
     for i in range(len(states)):
@@ -170,13 +175,18 @@ def ogden_decompose(m: Dta, t: Tree, marks: Marking) -> PumpWitness:
 
 
 def standard_decompose(m: Dta, t: Tree) -> PumpWitness:
-    """The all-marked special case: any accepted tree of size >= p pumps."""
-    if not accepts(m, t):
-        raise NotAccepted("the automaton rejects this tree")
+    """The all-marked special case: any accepted tree of size >= p pumps.
+
+    Every position is marked directly on the preorder index, so no address
+    is built for the marks and the automaton runs once.
+    """
+    memo = _accepted_memo(m, t)
     p = pumping_constant(m)
-    if size(t) < p:
-        raise TreeTooSmall(f"size {size(t)}, need at least {p}")
-    return ogden_decompose(m, t, frozenset(addresses(t)))
+    ix = _Index(t)
+    if len(ix.nodes) < p:
+        raise TreeTooSmall(f"size {len(ix.nodes)}, need at least {p}")
+    marked = [True] * len(ix.nodes)
+    return _single_loop(t, memo, _decompose(ix, marked, len(m.states)), p)
 
 
 def ogden_decompose_multi(

@@ -2,9 +2,10 @@
 
 The oracles here are deliberately independent of the library's code paths:
 `all_trees` enumerates by brute force, `naive_run` evaluates recursively,
-`naive_interesting` iterates a fixpoint, `naive_pump` substitutes one
-copy of a context at a time. Expected values frozen into tests
-were produced by these or by hand evaluation noted inline.
+`naive_interesting` iterates a fixpoint, `naive_best_path` scores every
+leaf, `naive_pump` substitutes one copy of a context at a time. Expected
+values frozen into tests were produced by these or by hand evaluation noted
+inline.
 """
 
 from __future__ import annotations
@@ -118,6 +119,17 @@ def naive_interesting(t: Tree, marks) -> frozenset:
                 out.add(addr)
                 changed = True
     return frozenset(out)
+
+
+def naive_best_path(t: Tree, interesting) -> list:
+    """Root-to-leaf prefixes of the leaf with the most interesting prefixes.
+
+    Every leaf is scored on its own; ties go to the lexicographically least.
+    """
+    leaves = sorted(addr for addr, node in walk(t) if not node.children)
+    scores = [sum(a[:i] in interesting for i in range(len(a) + 1)) for a in leaves]
+    best = leaves[scores.index(max(scores))]
+    return [best[:i] for i in range(len(best) + 1)]
 
 
 def random_alphabet(rng: random.Random, max_rank: int = 3) -> RankedAlphabet:

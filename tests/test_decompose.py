@@ -5,8 +5,11 @@ import random
 import pytest
 
 from treepump import (
+    GameConstraint,
     NotEnoughInteresting,
+    Tree,
     decompose_k,
+    enumerate_decompositions,
     depth_d,
     g_sigma,
     interesting_nodes,
@@ -199,6 +202,18 @@ def test_decompose_rejects_bad_k():
     t, marks = T("g!(a)", ALPHA_GA)
     with pytest.raises(ValueError):
         decompose_k(t, marks, 0)
+
+
+def test_a_hole_inside_the_tree_is_rejected():
+    # used to cut out the two-hole cprime f(@,@), which no Context can hold
+    t = Tree("f", (Tree("@"), Tree("g", (Tree("a"),))))
+    marks = frozenset({(1,), (2,), (2, 1)})
+    with pytest.raises(ValueError, match="hole"):
+        decompose_k(t, marks, 1)
+    with pytest.raises(ValueError, match="hole"):
+        interesting_nodes(t, marks)
+    with pytest.raises(ValueError, match="hole"):
+        enumerate_decompositions(t, GameConstraint.classic(4))
 
 
 def test_decompose_is_deterministic():

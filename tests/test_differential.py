@@ -1,10 +1,13 @@
-"""Differential tests of the known-hole fast paths against naive references.
+"""Differential tests of the fast paths against naive references.
 
 Pumping builds c^n inside-out and every context operation states its hole
 address instead of searching for it; these tests compare both against
 `naive_pump` and against `Context(shape)`, which re-validates a shape and
 re-derives its hole with a full walk. Cut states come from one memoised run of
 the automaton and are compared with `naive_run` on each cut subtree.
+Interesting nodes, the best path and the cuts are computed on a positional
+preorder index and compared with `naive_interesting`, `naive_best_path` and
+`walk`, including trees that hold one subtree object at two positions.
 """
 
 from __future__ import annotations
@@ -14,19 +17,28 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from treepump import (
     HOLE,
+    Candidate,
     Context,
+    GameConstraint,
+    InvalidAddressError,
     MultiPumpWitness,
     NotEnoughInteresting,
     PumpWitness,
     RankedAlphabet,
     Tree,
     addresses,
+    check_marks,
     compose,
     context_at,
     decompose_k,
+    enumerate_decompositions,
     g_sigma,
+    interesting_nodes,
+    max_interesting_path,
     ogden_decompose,
     ogden_decompose_multi,
     power,
@@ -36,11 +48,15 @@ from treepump import (
     split,
     substitute,
     subtree_at,
+    walk,
 )
 from treepump.pump import _accepted_memo, _cut_states
+from treepump.terms import _Index
 
 from helpers import (
     accepted_count,
+    naive_best_path,
+    naive_interesting,
     naive_pump,
     naive_run,
     random_alphabet,
@@ -223,3 +239,128 @@ def test_multi_cut_states_match_naive_run(seed, combo):
     for c in w.chain:
         spot = spot + c.hole_address
         assert naive_run(m, subtree_at(t, spot)) == w.q
+
+
+# ------------------------------------------------------- preorder index
+
+
+def marked_instance(rng: random.Random, shared: bool):
+    """A random tree and marking; `shared` puts one subtree object at two
+    positions, f(x, x), and marks (mostly) under one copy only."""
+    alphabet = random_alphabet(rng)
+    x = random_tree(rng, alphabet, rng.randrange(1, 30))
+    if not shared:
+        marks = random_marking(rng, x, rng.randrange(0, size(x) + 1))
+        return x, marks
+    t = Tree("f", (x, x))
+    copy = rng.choice([1, 2])
+    marks = {(copy,) + a for a in random_marking(rng, x, rng.randrange(1, size(x) + 1))}
+    if rng.random() < 0.3:
+        marks.add(rng.choice(list(addresses(t))))
+    return t, frozenset(marks)
+
+
+def check_against_naive(t: Tree, marks, k: int) -> None:
+    """interesting_nodes, max_interesting_path and the decompose_k cuts (the
+    last k+1 interesting nodes on the best path) against the naive oracles."""
+    interesting = naive_interesting(t, marks)
+    assert interesting_nodes(t, marks) == interesting
+    on_path = []
+    if interesting:
+        path = naive_best_path(t, interesting)
+        assert max_interesting_path(t, interesting) == path
+        on_path = [a for a in path if a in interesting]
+    if len(on_path) <= k:
+        with pytest.raises(NotEnoughInteresting):
+            decompose_k(t, marks, k)
+    else:
+        d = decompose_k(t, marks, k)
+        assert d.cut_addresses == tuple(on_path[-(k + 1) :])
+        assert d.tprime is subtree_at(t, on_path[-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.booleans())
+def test_index_matches_walk(seed, shared):
+    rng = random.Random(seed)
+    t, marks = marked_instance(rng, shared)
+    pairs = list(walk(t))
+    ix = _Index(t)
+    addrs = ix.addresses()
+    assert addrs == [a for a, _ in pairs]
+    assert all(x is node for x, (_, node) in zip(ix.nodes, pairs))
+    for i, (a, node) in enumerate(pairs):
+        assert ix.end[i] - i == size(node)
+        assert ix.address(i) == a
+        if a:
+            assert addrs[ix.parent[i]] == a[:-1]
+            assert ix.slot[i] == a[-1]
+    assert ix.flags(marks) == [a in marks for a, _ in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.booleans(), st.integers(1, 3))
+def test_interesting_path_and_cuts_match_naive(seed, shared, k):
+    rng = random.Random(seed)
+    t, marks = marked_instance(rng, shared)
+    check_against_naive(t, marks, k)
+
+
+def test_mark_under_one_copy_of_a_shared_subtree():
+    x = Tree("g", (Tree("g", (Tree("a"),)),))
+    t = Tree("f", (x, x))
+    marks = frozenset({(1,), (1, 1, 1)})
+    assert interesting_nodes(t, marks) == marks
+    d = decompose_k(t, marks, 1)
+    assert d.cut_addresses == ((1,), (1, 1, 1))
+    assert str(d.cprime) == "f(@,g(g(a)))"
+
+
+@settings(max_examples=3, deadline=None)
+@given(seeds, st.integers(5000, 6000))
+def test_deep_chains_with_sparse_marks_match_naive(seed, depth):
+    rng = random.Random(seed)
+    t = random_tree(rng, CHAINY, rng.randrange(1, 6))
+    for _ in range(depth):
+        t = Tree(rng.choice("uv"), (t,))
+    marks = random_marking(rng, t, rng.randrange(1, 6))
+    check_against_naive(t, marks, rng.randrange(1, 4))
+
+
+def invalid_address(rng: random.Random, t: Tree):
+    """An address one step past a node: child 0, or one past its rank."""
+    a, node = rng.choice(list(walk(t)))
+    return a + (rng.choice([0, len(node.children) + 1]),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.booleans())
+def test_invalid_marks_raise_like_check_marks(seed, shared):
+    rng = random.Random(seed)
+    t, marks = marked_instance(rng, shared)
+    marks = marks | {invalid_address(rng, t) for _ in range(rng.randrange(1, 3))}
+    with pytest.raises(InvalidAddressError) as want:
+        check_marks(t, marks)
+    calls = [
+        lambda: interesting_nodes(t, marks),
+        lambda: max_interesting_path(t, marks),
+        lambda: decompose_k(t, marks, 1),
+        lambda: enumerate_decompositions(t, GameConstraint.ogden(size(t), marks)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidAddressError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_game_candidates_match_split(seed):
+    rng = random.Random(seed)
+    t, marks = marked_instance(rng, rng.random() < 0.5)
+    if rng.random() < 0.5:
+        constraint = GameConstraint.classic(rng.randrange(1, size(t) + 2))
+    else:
+        constraint = GameConstraint.ogden(rng.randrange(1, len(marks) + 2), marks)
+    for d in enumerate_decompositions(t, constraint):
+        assert d == Candidate(d.u, d.v, *split(t, d.u, d.v))

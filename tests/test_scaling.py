@@ -15,14 +15,18 @@ import time
 from treepump import (
     PumpWitness,
     Tree,
+    interesting_nodes,
+    ogden_decompose,
     parse_context,
+    parse_dta,
     parse_tree,
     pump,
     render,
+    run,
     size,
 )
 
-from helpers import ALPHA_GA
+from helpers import ALPHA_GA, L3_TEXT
 
 
 def C(text):
@@ -60,4 +64,42 @@ def test_parse_and_render_depth_10k_chain():
     assert out == text
     assert marks == frozenset()
     assert size(t) == 10001
+    assert elapsed < 2.0
+
+
+def marked_chain(depth: int):
+    """g^depth(a) with four marks spread down the spine."""
+    t = Tree("a")
+    for _ in range(depth):
+        t = Tree("g", (t,))
+    marks = frozenset((1,) * (depth * i // 5) for i in range(1, 5))
+    return t, marks
+
+
+def test_ogden_on_a_50000_deep_chain_with_four_marks():
+    t, marks = marked_chain(50000)
+    m = parse_dta(L3_TEXT)
+    t0 = time.perf_counter()
+    w = ogden_decompose(m, t, marks)
+    elapsed = time.perf_counter() - t0
+    assert w.c.hole_address == (1,) * 10000
+    assert elapsed < 5.0
+
+
+def test_interesting_nodes_on_a_50000_deep_chain_with_four_marks():
+    t, marks = marked_chain(50000)
+    t0 = time.perf_counter()
+    found = interesting_nodes(t, marks)
+    elapsed = time.perf_counter() - t0
+    assert found == marks
+    assert elapsed < 2.0
+
+
+def test_run_on_a_100000_deep_chain():
+    t, _ = marked_chain(100000)
+    m = parse_dta(L3_TEXT)
+    t0 = time.perf_counter()
+    q = run(m, t)
+    elapsed = time.perf_counter() - t0
+    assert q == "q"
     assert elapsed < 2.0

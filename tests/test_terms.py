@@ -74,6 +74,18 @@ def test_merge_alphabets():
         merge_alphabets(ALPHA_GA, RankedAlphabet({"g": 2}))
 
 
+@pytest.mark.parametrize("label", ["", "f(x", "a b", "1a", "g!", "é", "@@", 3])
+def test_tree_rejects_labels_render_cannot_round_trip(label):
+    # Tree("f(x") used to render as the unparseable f(f(x)
+    with pytest.raises(ValueError, match="bad node label"):
+        Tree(label, (Tree("x"),))
+
+
+@pytest.mark.parametrize("label", ["a", "_x1", "If", "@"])
+def test_tree_accepts_symbol_names_and_the_hole(label):
+    assert Tree(label).label == label
+
+
 def test_check_tree():
     A.check_tree(T("f(g(a),a)"))
     with pytest.raises(ValueError):
