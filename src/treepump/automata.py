@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .decompose import pumping_threshold
-from .terms import HOLE, Address, Context, RankedAlphabet, Tree, render
+from .terms import HOLE, Address, Context, RankedAlphabet, Tree, _Index, render
 
 __all__ = [
     "AutomatonError",
@@ -168,6 +168,9 @@ def _states_bottom_up(
 ) -> str | None:
     """Evaluate t bottom-up; shared subtrees are evaluated once (memo by id).
 
+    Nodes are first visited in preorder, so a bad symbol or rank raises
+    ValueError for the first bad node in preorder.
+
     A caller that passes `memo` reads the state of every subtree of t from
     it afterwards, and may share it across several trees evaluated with the
     same hole_state. Keys are ids, so every tree evaluated with one memo has
@@ -178,6 +181,12 @@ def _states_bottom_up(
     stack: list[tuple[Tree, bool]] = [(t, False)]
     while stack:
         node, expanded = stack.pop()
+        if expanded:  # checked on the way down, children evaluated since
+            args = tuple(memo[id(c)] for c in node.children)
+            memo[id(node)] = (
+                None if None in args else m.transitions.get((node.label, args))
+            )
+            continue
         if id(node) in memo:
             continue
         if node.label == HOLE and hole_state is not None:
@@ -192,15 +201,8 @@ def _states_bottom_up(
                 f"rank mismatch: {node.label!r} takes "
                 f"{m.alphabet.rank(node.label)} children, got {len(node.children)}"
             )
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
-            continue
-        args = tuple(memo[id(c)] for c in node.children)
-        if None in args:
-            memo[id(node)] = None
-        else:
-            memo[id(node)] = m.transitions.get((node.label, args))
+        stack.append((node, True))
+        stack.extend((c, False) for c in reversed(node.children))
     return memo[id(t)]
 
 
@@ -222,37 +224,16 @@ def run_context(m: Dta, c: Context, q: str) -> str | None:
 
 
 def annotate(m: Dta, t: Tree) -> StateAnnotation | None:
-    """Map every address to its state, or None if the run gets stuck anywhere."""
-    out: StateAnnotation = {}
-    stack: list[tuple[Address, Tree, bool]] = [((), t, False)]
-    while stack:
-        addr, node, expanded = stack.pop()
-        if node.label not in m.alphabet:
-            raise ValueError(f"unknown symbol {node.label!r}")
-        if len(node.children) != m.alphabet.rank(node.label):
-            raise ValueError(
-                f"rank mismatch: {node.label!r} takes "
-                f"{m.alphabet.rank(node.label)} children, got {len(node.children)}"
-            )
-        if not expanded:
-            stack.append((addr, node, True))
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((addr + (i + 1,), node.children[i], False))
-            continue
-        args = []
-        for i in range(len(node.children)):
-            child = out[addr + (i + 1,)]
-            if child is None:
-                args = None
-                break
-            args.append(child)
-        if args is None:
-            out[addr] = None
-        else:
-            out[addr] = m.transitions.get((node.label, tuple(args)))
-    if any(q is None for q in out.values()):
+    """Map every address, in preorder, to its state; None if the run gets stuck.
+
+    One evaluator pass plus the addresses: a stuck node makes the root stuck,
+    so the result is None exactly when run(m, t) is.
+    """
+    memo: dict[int, str | None] = {}
+    if _states_bottom_up(m, t, None, memo) is None:
         return None
-    return out
+    ix = _Index(t)
+    return {a: memo[id(node)] for a, node in zip(ix.addresses(), ix.nodes)}
 
 
 def _compositions(total: int, parts: int):

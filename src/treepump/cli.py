@@ -163,8 +163,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if ann is None:
         print("rejected")
         return 1
-    for addr in sorted(ann):
-        print(f"{format_address(addr)} {ann[addr]}")
+    for addr, q in ann.items():  # preorder, which is sorted address order
+        print(f"{format_address(addr)} {q}")
     return 0
 
 
@@ -187,17 +187,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_ogden(args: argparse.Namespace) -> int:
     m = _load_dta(args.automaton)
     t, marks = _load_tree(args.tree, m.alphabet, args.marks)
-    w = ogden_decompose(m, t, marks)
-    _print_witness(w)
-    report = verify_witness(m, w, args.max_n)
-    _print_report(report)
-    return 0 if report.passed else 1
-
-
-def _cmd_ogden_multi(args: argparse.Namespace) -> int:
-    m = _load_dta(args.automaton)
-    t, marks = _load_tree(args.tree, m.alphabet, args.marks)
-    w = ogden_decompose_multi(m, t, marks, args.m)
+    if args.m is None:
+        w: PumpWitness | MultiPumpWitness = ogden_decompose(m, t, marks)
+    else:
+        w = ogden_decompose_multi(m, t, marks, args.m)
     _print_witness(w)
     report = verify_witness(m, w, args.max_n)
     _print_report(report)
@@ -265,20 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("ogden", help="extract and verify a pumping witness")
-    p.add_argument("--marks")
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("automaton")
-    p.add_argument("tree")
-    p.set_defaults(fn=_cmd_ogden)
-
-    p = sub.add_parser("ogden-multi", help="extract a multi-loop witness")
-    p.add_argument("--m", type=int, required=True, help="number of loops")
-    p.add_argument("--marks")
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("automaton")
-    p.add_argument("tree")
-    p.set_defaults(fn=_cmd_ogden_multi)
+    for name, what in [
+        ("ogden", "extract and verify a pumping witness"),
+        ("ogden-multi", "extract a multi-loop witness"),
+    ]:
+        p = sub.add_parser(name, help=what)
+        if name == "ogden-multi":
+            p.add_argument("--m", type=int, required=True, help="number of loops")
+        p.add_argument("--marks")
+        p.add_argument("--max-n", type=int, default=5)
+        p.add_argument("automaton")
+        p.add_argument("tree")
+        p.set_defaults(fn=_cmd_ogden, m=None)
 
     p = sub.add_parser("pump", help="print cprime . c^n . tprime")
     p.add_argument("cprime", help="context, inline or @path ('@' is the hole)")

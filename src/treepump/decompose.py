@@ -182,14 +182,38 @@ def decompose_k(t: Tree, marks: Marking, k: int) -> Decomposition:
     if k < 1:
         raise ValueError("k must be at least 1")
     ix = _Index(t)
-    return _decompose(ix, ix.flags(marks), k)
+    path, depths = _cut_depths(ix, ix.flags(marks), k)
+    cprime, chain, tprime, leaf = _cut_along(ix, path, depths)
+    return Decomposition(cprime, chain, tprime, tuple(leaf[:d] for d in depths))
 
 
-def _decompose(ix: _Index, marked: list[bool], k: int) -> Decomposition:
-    """decompose_k on a preorder index with per-position mark flags.
+def _cut_along(
+    ix: _Index, path: list[int], depths: list[int]
+) -> tuple[Context, tuple[Context, ...], Tree, Address]:
+    """Cut the indexed tree at the given depths of a root-to-leaf path.
 
-    Address tuples are built for the k+1 cuts only, as prefixes of the
-    chosen leaf's address.
+    Returns cprime (the tree holed at the first cut), the pieces between
+    consecutive cuts, tprime (the subtree at the last cut) and the leaf's
+    address, whose prefixes are the cuts. Only the spines down to the cuts
+    are rebuilt; the source tree is shared.
+    """
+    nodes = ix.nodes
+    leaf = ix.address(path[-1])
+    cprime = context_at(nodes[0], leaf[: depths[0]])
+    pieces = tuple(
+        context_at(nodes[path[a]], leaf[a:b]) for a, b in zip(depths, depths[1:])
+    )
+    return cprime, pieces, nodes[path[depths[-1]]], leaf
+
+
+def _cut_depths(
+    ix: _Index, marked: list[bool], k: int
+) -> tuple[list[int], list[int]]:
+    """The cut search of decompose_k on a preorder index with mark flags.
+
+    Returns the positions of the chosen root-to-leaf path and the depths on
+    it of its last k+1 interesting nodes, so cut i is position
+    path[depths[i]]. No address is built.
     """
     interesting = _interesting(ix, marked)
     if not any(interesting):
@@ -202,12 +226,4 @@ def _decompose(ix: _Index, marked: list[bool], k: int) -> Decomposition:
         raise NotEnoughInteresting(
             f"best path visits {len(on_path)} interesting nodes, need {k + 1}"
         )
-    depths = on_path[-(k + 1) :]
-    leaf = ix.address(path[-1])
-    nodes = ix.nodes
-    cprime = context_at(nodes[0], leaf[: depths[0]])
-    chain = tuple(
-        context_at(nodes[path[a]], leaf[a:b]) for a, b in zip(depths, depths[1:])
-    )
-    tprime = nodes[path[depths[-1]]]
-    return Decomposition(cprime, chain, tprime, tuple(leaf[:d] for d in depths))
+    return path, on_path[-(k + 1) :]

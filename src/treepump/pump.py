@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .automata import (
     Dta,
@@ -19,17 +20,15 @@ from .automata import (
     run,
     run_context,
 )
-from .decompose import Decomposition, _decompose, decompose_k, pumping_threshold
+from .decompose import _cut_along, _cut_depths, pumping_threshold
 from .terms import (
     Context,
     Marking,
     Tree,
     _Index,
-    compose,
     iterate,
     size_context,
     substitute,
-    subtree_at,
 )
 
 __all__ = [
@@ -114,7 +113,8 @@ class VerificationReport:
 def _accepted_memo(m: Dta, t: Tree) -> dict[int, str]:
     """One bottom-up pass over t: the state of every subtree, by id.
 
-    Raises NotAccepted unless t runs to a final state.
+    Raises NotAccepted unless t runs to a final state. No value is None:
+    a stuck subtree would have made the root stuck too.
     """
     memo: dict[int, str | None] = {}
     q = _states_bottom_up(m, t, None, memo)
@@ -123,13 +123,33 @@ def _accepted_memo(m: Dta, t: Tree) -> dict[int, str]:
     return memo
 
 
-def _cut_states(t: Tree, dec: Decomposition, memo: dict[int, str]) -> list[str]:
-    """The state at each cut address, read from the memo of t's run.
+def _witness(
+    ix: _Index,
+    marked: list[bool],
+    memo: dict[int, str],
+    k: int,
+    pick: Callable[[list[str]], list[int]],
+) -> tuple[Context, tuple[Context, ...], Tree, str]:
+    """The pieces of a witness, cut straight from the indexed tree.
 
-    In the memo of an accepted tree no subtree is stuck (None): a stuck
-    subtree would have made the root stuck too.
+    The tree is cut at the k+1 interesting nodes decompose_k picks; each
+    cut's state is read from the memo of the tree's run. `pick` names the
+    spots s_0 < ... < s_m among the cuts that share one state q. cprime is
+    the tree holed at s_0, loop i the piece from s_i down to s_{i+1}, and
+    tprime the subtree at s_m.
     """
-    return [memo[id(subtree_at(t, a))] for a in dec.cut_addresses]
+    path, depths = _cut_depths(ix, marked, k)
+    states = [memo[id(ix.nodes[path[d]])] for d in depths]
+    cprime, loops, tprime, _ = _cut_along(ix, path, [depths[s] for s in pick(states)])
+    return cprime, loops, tprime, memo[id(tprime)]
+
+
+def _first_pair(states: list[str]) -> list[int]:
+    """The equal-state pair (i, j) with the smallest i, then the smallest j."""
+    for i, q in enumerate(states):
+        if q in states[i + 1 :]:
+            return [i, states.index(q, i + 1)]
+    raise AssertionError("k+1 states drawn from k values must repeat")
 
 
 def ogden_decompose(m: Dta, t: Tree, marks: Marking) -> PumpWitness:
@@ -146,32 +166,10 @@ def ogden_decompose(m: Dta, t: Tree, marks: Marking) -> PumpWitness:
     if len(marks) < p:
         raise NotEnoughMarks(f"{len(marks)} marks, need at least {p}")
     ix = _Index(t)
-    return _single_loop(t, memo, _decompose(ix, ix.flags(marks), len(m.states)), p)
-
-
-def _single_loop(
-    t: Tree, memo: dict[int, str], dec: Decomposition, p: int
-) -> PumpWitness:
-    """Fold a |Q|-cut decomposition of t into the witness ogden_decompose picks."""
-    states = _cut_states(t, dec, memo)
-    pair = None
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if states[i] == states[j]:
-                pair = (i, j)
-                break
-        if pair:
-            break
-    assert pair is not None  # k+1 states drawn from k values
-    i, j = pair
-    cprime = dec.cprime
-    for piece in dec.chain[:i]:
-        cprime = compose(cprime, piece)
-    loop = dec.chain[i]
-    for piece in dec.chain[i + 1 : j]:
-        loop = compose(loop, piece)
-    tprime = subtree_at(t, dec.cut_addresses[j])
-    return PumpWitness(cprime, loop, tprime, states[i], p)
+    cprime, (c,), tprime, q = _witness(
+        ix, ix.flags(marks), memo, len(m.states), _first_pair
+    )
+    return PumpWitness(cprime, c, tprime, q, p)
 
 
 def standard_decompose(m: Dta, t: Tree) -> PumpWitness:
@@ -186,7 +184,8 @@ def standard_decompose(m: Dta, t: Tree) -> PumpWitness:
     if len(ix.nodes) < p:
         raise TreeTooSmall(f"size {len(ix.nodes)}, need at least {p}")
     marked = [True] * len(ix.nodes)
-    return _single_loop(t, memo, _decompose(ix, marked, len(m.states)), p)
+    cprime, (c,), tprime, q = _witness(ix, marked, memo, len(m.states), _first_pair)
+    return PumpWitness(cprime, c, tprime, q, p)
 
 
 def ogden_decompose_multi(
@@ -206,24 +205,19 @@ def ogden_decompose_multi(
     p = pumping_threshold(m.alphabet.max_rank, k)
     if len(marks) < p:
         raise NotEnoughMarks(f"{len(marks)} marks, need at least {p}")
-    dec = decompose_k(t, marks, k)
-    states = _cut_states(t, dec, memo)
-    counts = Counter(states)
-    top = max(counts.values())
-    q = min(s for s, c in counts.items() if c == top)
-    assert top >= mfold + 1  # k+1 states drawn from |Q| values
-    spots = [i for i, s in enumerate(states) if s == q][: mfold + 1]
-    cprime = dec.cprime
-    for piece in dec.chain[: spots[0]]:
-        cprime = compose(cprime, piece)
-    chain = []
-    for a, b in zip(spots, spots[1:]):
-        loop = dec.chain[a]
-        for piece in dec.chain[a + 1 : b]:
-            loop = compose(loop, piece)
-        chain.append(loop)
-    tprime = subtree_at(t, dec.cut_addresses[spots[-1]])
-    return MultiPumpWitness(cprime, tuple(chain), tprime, q, p)
+
+    def first_of_top_state(states: list[str]) -> list[int]:
+        counts = Counter(states)
+        top = max(counts.values())
+        q = min(s for s, c in counts.items() if c == top)
+        assert top >= mfold + 1  # k+1 states drawn from |Q| values
+        return [i for i, s in enumerate(states) if s == q][: mfold + 1]
+
+    ix = _Index(t)
+    cprime, chain, tprime, q = _witness(
+        ix, ix.flags(marks), memo, k, first_of_top_state
+    )
+    return MultiPumpWitness(cprime, chain, tprime, q, p)
 
 
 def _pump(cprime: Context, loops: tuple[Context, ...], tprime: Tree, n: int) -> Tree:

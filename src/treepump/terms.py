@@ -307,8 +307,10 @@ def context_at(t: Tree, addr: Address) -> Context:
     """The complement of the subtree at addr: t with that subtree holed out.
 
     t must be hole-free (a tree, not a context's shape): the new hole at
-    addr is then the only one and is not searched for. The cost is
-    O(|addr| * max rank), the spine rebuilt by replace_at.
+    addr is then the only one and is not searched for. That is trusted, not
+    checked: the internal callers take t and addr from a preorder index,
+    which already rejects a hole, and a check would cost O(|t|) where the
+    cut costs O(|addr| * max rank), the spine rebuilt by replace_at.
     """
     return Context._known(replace_at(t, addr, Tree(HOLE)), addr)
 
@@ -362,12 +364,15 @@ def split(t: Tree, u: Address, v: Address) -> tuple[Context, Context, Tree]:
     cprime is t holed at u, c is the piece between u and v (hole at v,
     root at u), tprime is the subtree at v. Requires u to be a strict
     ancestor of v; in particular u = v is rejected, so c never collapses
-    to the bare hole.
+    to the bare hole. A t that holds the hole raises ValueError, since
+    cprime would get a second one; checking that costs one pass over t.
     """
     if not is_strict_prefix(u, v):
         raise ValueError(
             f"{format_address(u)} is not a strict ancestor of {format_address(v)}"
         )
+    if any(node.label == HOLE for node in _nodes(t)):
+        raise ValueError("a tree cannot contain the hole '@'")
     sub = subtree_at(t, u)  # validates u; v is validated by the inner cut
     cprime = context_at(t, u)
     c = context_at(sub, v[len(u) :])

@@ -9,6 +9,7 @@ from treepump import (
     AutomatonError,
     Dta,
     RankedAlphabet,
+    Tree,
     annotate,
     accepts,
     context_at,
@@ -121,12 +122,33 @@ def test_run_missing_transition_is_none():
 
 
 def test_run_alphabet_mismatch(l3):
-    from treepump import Tree
-
     with pytest.raises(ValueError):
         run(l3, Tree("zz"))
     with pytest.raises(ValueError):
         run(l3, Tree("g"))  # rank 1 symbol used as a leaf
+
+
+@pytest.mark.parametrize(
+    "t,message",
+    [
+        (Tree("f", (Tree("x"), Tree("y"))), "unknown symbol 'x'"),
+        (
+            Tree("f", (Tree("a"), Tree("f", (Tree("y"), Tree("x"))))),
+            "unknown symbol 'y'",
+        ),
+        (
+            Tree("f", (Tree("f", (Tree("a"),)), Tree("x"))),
+            "rank mismatch: 'f' takes 2 children, got 1",
+        ),
+        (Tree("f", (Tree("a", (Tree("a"),)), Tree("f"))), "rank mismatch: 'a'"),
+    ],
+)
+def test_bad_node_errors_name_the_first_in_preorder(t, message):
+    m = parse_dta("alphabet: f/2 a/0\nstates: q\nfinal: q\ntrans: a -> q\n")
+    for entry in (run, accepts, annotate):
+        with pytest.raises(ValueError) as info:
+            entry(m, t)
+        assert str(info.value).startswith(message)
 
 
 def test_annotate(l3, parity):

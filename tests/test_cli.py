@@ -386,6 +386,79 @@ def test_bad_flag_value(capsys):
     capsys.readouterr()
 
 
+def test_ogden_takes_no_loop_count(capsys, l3_file):
+    assert cli_main(["ogden", "--m", "2", l3_file, "g!(g!(a!))"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_ogden_multi_needs_a_loop_count(capsys, l3_file):
+    assert cli_main(["ogden-multi", l3_file, "g!(g!(a!))"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# --help output captured from the build with one parser per ogden command;
+# argparse wraps at $COLUMNS, so the tests pin it to 80
+HELP_GOLDENS = [
+    (
+        [],
+        'usage: treepump [-h]\n'
+        '                {member,run,gsigma,decompose,ogden,ogden-multi,pump,game} ...\n'
+        '\n'
+        'Tree automata and pumping decompositions for their languages.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {member,run,gsigma,decompose,ogden,ogden-multi,pump,game}\n'
+        '    member              test whether an automaton accepts a tree\n'
+        '    run                 print the state at every node\n'
+        '    gsigma              the mark budget for k cuts at a max rank\n'
+        '    decompose           cut a marked tree at k+1 points\n'
+        '    ogden               extract and verify a pumping witness\n'
+        '    ogden-multi         extract a multi-loop witness\n'
+        '    pump                print cprime . c^n . tprime\n'
+        '    game                play the pumping game against an oracle\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n',
+    ),
+    (
+        ["ogden"],
+        'usage: treepump ogden [-h] [--marks MARKS] [--max-n MAX_N] automaton tree\n'
+        '\n'
+        'positional arguments:\n'
+        '  automaton\n'
+        '  tree\n'
+        '\n'
+        'options:\n'
+        '  -h, --help     show this help message and exit\n'
+        '  --marks MARKS\n'
+        '  --max-n MAX_N\n',
+    ),
+    (
+        ["ogden-multi"],
+        'usage: treepump ogden-multi [-h] --m M [--marks MARKS] [--max-n MAX_N]\n'
+        '                            automaton tree\n'
+        '\n'
+        'positional arguments:\n'
+        '  automaton\n'
+        '  tree\n'
+        '\n'
+        'options:\n'
+        '  -h, --help     show this help message and exit\n'
+        '  --m M          number of loops\n'
+        '  --marks MARKS\n'
+        '  --max-n MAX_N\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", HELP_GOLDENS, ids=["treepump", "ogden", "ogden-multi"]
+)
+def test_help_golden(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, *argv, "--help") == (0, expected, "")
+
+
 # ---------------------------------------------------------------- goldens
 
 

@@ -8,6 +8,8 @@ the automaton and are compared with `naive_run` on each cut subtree.
 Interesting nodes, the best path and the cuts are computed on a positional
 preorder index and compared with `naive_interesting`, `naive_best_path` and
 `walk`, including trees that hold one subtree object at two positions.
+`annotate` is compared with `naive_run` at every address, and on chains too
+deep for it with states known in closed form.
 """
 
 from __future__ import annotations
@@ -31,29 +33,35 @@ from treepump import (
     RankedAlphabet,
     Tree,
     addresses,
+    annotate,
     check_marks,
     compose,
     context_at,
     decompose_k,
     enumerate_decompositions,
+    enumerate_language,
     g_sigma,
     interesting_nodes,
     max_interesting_path,
     ogden_decompose,
     ogden_decompose_multi,
+    parse_dta,
     power,
     pump,
     pump_multi,
+    run,
     size,
     split,
     substitute,
     subtree_at,
     walk,
 )
-from treepump.pump import _accepted_memo, _cut_states
+from treepump.decompose import _cut_depths
+from treepump.pump import _accepted_memo
 from treepump.terms import _Index
 
 from helpers import (
+    ALPHA_FGA,
     accepted_count,
     naive_best_path,
     naive_interesting,
@@ -215,7 +223,11 @@ def test_cut_states_match_naive_run(seed, n_states):
     marks = pick_marks(rng, t, g_sigma(2, n_states))
 
     d = decompose_k(t, marks, n_states)
-    states = _cut_states(t, d, _accepted_memo(m, t))
+    ix = _Index(t)
+    path, depths = _cut_depths(ix, ix.flags(marks), n_states)
+    assert tuple(ix.address(path[i]) for i in depths) == d.cut_addresses
+    memo = _accepted_memo(m, t)
+    states = [memo[id(ix.nodes[path[i]])] for i in depths]
     assert states == [naive_run(m, subtree_at(t, a)) for a in d.cut_addresses]
 
     w = ogden_decompose(m, t, marks)
@@ -239,6 +251,41 @@ def test_multi_cut_states_match_naive_run(seed, combo):
     for c in w.chain:
         spot = spot + c.hole_address
         assert naive_run(m, subtree_at(t, spot)) == w.q
+
+
+def loop_spots(w) -> list:
+    """The addresses where a witness's pieces meet, from cprime's hole down."""
+    spots = [w.cprime.hole_address]
+    for c in (w.chain if isinstance(w, MultiPumpWitness) else (w.c,)):
+        spots.append(spots[-1] + c.hole_address)
+    return spots
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (2, 2)]))
+def test_witness_spots_follow_the_selection_rules(seed, combo):
+    # one loop: the first equal-state pair (i, j) of the |Q|+1 cuts;
+    # m loops: the first m+1 cuts at the most frequent state, ties by name
+    n_states, mfold = combo
+    rng = random.Random(seed)
+    m, t = accepted_instance(rng, n_states, mfold * n_states)
+    marks = pick_marks(rng, t, g_sigma(2, mfold * n_states))
+    cuts = decompose_k(t, marks, mfold * n_states).cut_addresses
+    states = [naive_run(m, subtree_at(t, a)) for a in cuts]
+
+    q = min(states, key=lambda s: (-states.count(s), s))
+    want = [i for i, s in enumerate(states) if s == q][: mfold + 1]
+    w = ogden_decompose_multi(m, t, marks, mfold)
+    assert (loop_spots(w), w.q) == ([cuts[i] for i in want], q)
+    if mfold == 1:
+        i, j = min(
+            (i, j)
+            for i in range(len(states))
+            for j in range(i + 1, len(states))
+            if states[i] == states[j]
+        )
+        w = ogden_decompose(m, t, marks)
+        assert (loop_spots(w), w.q) == ([cuts[i], cuts[j]], states[i])
 
 
 # ------------------------------------------------------- preorder index
@@ -364,3 +411,62 @@ def test_game_candidates_match_split(seed):
         constraint = GameConstraint.ogden(rng.randrange(1, len(marks) + 2), marks)
     for d in enumerate_decompositions(t, constraint):
         assert d == Candidate(d.u, d.v, *split(t, d.u, d.v))
+
+
+# ------------------------------------------------------------------ annotate
+
+
+def check_annotate(m, t: Tree) -> None:
+    """annotate against naive_run at every address, keys in preorder."""
+    ann = annotate(m, t)
+    assert (ann is None) == (naive_run(m, t) is None) == (run(m, t) is None)
+    if ann is not None:
+        assert list(ann) == list(addresses(t))
+        for a, q in ann.items():
+            assert q == naive_run(m, subtree_at(t, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 3), st.booleans())
+def test_annotate_matches_naive_run(seed, n_states, shared):
+    rng = random.Random(seed)
+    m = random_dta(rng, n_states)
+    x = random_tree(rng, ALPHA_FGA, rng.randrange(1, 40))
+    # shared: one subtree object at two positions, f(x, x)
+    check_annotate(m, Tree("f", (x, x)) if shared else x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(1, 3))
+def test_annotate_matches_naive_run_on_enumerated_trees(seed, n_states):
+    # enumerate_language builds its trees from shared child objects
+    m = random_dta(random.Random(seed), n_states)
+    for t in enumerate_language(m, 7):
+        check_annotate(m, t)
+
+
+MOD3_TEXT = """\
+alphabet: g/1 a/0
+states: q0 q1 q2
+final: q0
+trans: a -> q0
+trans: g(q0) -> q1
+trans: g(q1) -> q2
+"""
+
+
+@pytest.mark.parametrize("n", [3001, 3002, 3003])
+def test_annotate_deep_chain_in_closed_form(n):
+    # too deep for naive_run: g^n(a) has state q((n - d) mod 3) at depth d
+    t = Tree("a")
+    for _ in range(n):
+        t = Tree("g", (t,))
+    m = parse_dta(MOD3_TEXT + "trans: g(q2) -> q0\n")
+    ann = annotate(m, t)
+    assert ann is not None
+    assert list(ann) == [(1,) * d for d in range(n + 1)]
+    assert list(ann.values()) == [f"q{(n - d) % 3}" for d in range(n + 1)]
+    # without g(q2) the run is stuck from depth n - 3 up
+    stuck = parse_dta(MOD3_TEXT)
+    assert annotate(stuck, t) is None
+    assert run(stuck, t) is None

@@ -17,6 +17,7 @@ from treepump import (
     ogden_decompose,
     ogden_decompose_multi,
     parse_context,
+    parse_dta,
     parse_tree,
     pump,
     pump_multi,
@@ -203,6 +204,21 @@ def test_multi_l3_values(l3):
         assert size(got) == 4 + 2 * n  # both loops advance in lockstep
         assert accepts(l3, got)
     assert pump_multi(w, 1) == t
+
+
+def test_multi_takes_the_first_occurrences():
+    # derived by hand: on g^6(a) the 5 cuts are depths 2..6, with states
+    # q q q q r; q occurs 4 times and the loops join its first 3 cuts
+    m = parse_dta(
+        "alphabet: g/1 a/0\nstates: q r\nfinal: q\n"
+        "trans: a -> r\ntrans: g(r) -> q\ntrans: g(q) -> q\n"
+    )
+    t, _ = T("g(g(g(g(g(g(a))))))")
+    w = ogden_decompose_multi(m, t, all_marked(t), mfold=2)
+    assert w.cprime == C("g(g(@))")
+    assert w.chain == (C("g(@)"), C("g(@)"))
+    assert render(w.tprime) == "g(g(a))"
+    assert (w.q, w.p_used) == ("q", 5)
 
 
 def test_multi_witness_verifies(l3):

@@ -335,6 +335,13 @@ def test_split_rejects():
         split(t, (1,), (1, 1, 1))
 
 
+def test_split_rejects_a_tree_holding_the_hole():
+    # cprime would be f(@,@): the old hole plus the cut at u
+    t = Tree("f", (Tree("@"), Tree("g", (Tree("a"),))))
+    with pytest.raises(ValueError, match="hole"):
+        split(t, (2,), (2, 1))
+
+
 def test_context_at():
     t = T("f(g(a),a)")
     assert context_at(t, (1,)) == C("f(@,a)")
