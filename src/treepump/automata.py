@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .decompose import pumping_threshold
 from .terms import HOLE, Address, Context, RankedAlphabet, Tree, _Index, render
@@ -252,41 +253,52 @@ def enumerate_language(m: Dta, size_bound: int) -> list[Tree]:
 
     Dynamic programming over (state, size): a tree of size s with root symbol
     f arises from child trees whose sizes sum to s-1 and whose states match a
-    transition. Every returned tree is re-evaluated and must be accepted.
+    transition. Each tree is built beside its rendering, joined from its
+    children's renderings, so the sort never walks a tree. Trees of the top
+    size are nobody's children and are built only for final states.
+
+    Cost: O(#trees x max rank) Python steps, plus the string joins, which
+    run in C. Every returned tree is re-evaluated and must be accepted.
     """
     if size_bound < 1:
         raise ValueError("size_bound must be at least 1")
-    by: dict[tuple[str, int], list[Tree]] = {}
+    # rows are (rendering, tree); a tree runs to one state only, so the
+    # renderings of one size are unique and sort the rows on their own
+    by: dict[tuple[str, int], list[tuple[str, Tree]]] = {}
+    out: list[Tree] = []
     for s in range(1, size_bound + 1):
         for (sym, args), target in m.transitions.items():
+            if s == size_bound and target not in m.final:
+                continue
             arity = len(args)
             if arity == 0:
                 if s == 1:
-                    by.setdefault((target, 1), []).append(Tree(sym))
+                    by.setdefault((target, 1), []).append((sym, Tree(sym)))
                 continue
             if s - 1 < arity:
                 continue
+            head = sym + "("
             for sizes in _compositions(s - 1, arity):
                 pools = [by.get((q, sz)) for q, sz in zip(args, sizes)]
                 if any(not pool for pool in pools):
                     continue
                 bucket = by.setdefault((target, s), [])
-                for kids in itertools.product(*pools):
-                    bucket.append(Tree(sym, kids))
-    out = [
-        (s, t) for (q, s), trees in by.items() if q in m.final for t in trees
-    ]
-    # children are shared objects, so one memo makes the check O(#trees);
-    # `out` keeps every tree alive, so no id is reused meanwhile. Checking
-    # before the sort lets the sort keys reuse the memo's memory.
+                for pairs in itertools.product(*pools):
+                    strs, kids = zip(*pairs)
+                    bucket.append((head + ",".join(strs) + ")", Tree(sym, kids)))
+        rows = [row for q in m.final for row in by.get((q, s), ())]
+        rows.sort(key=itemgetter(0))
+        out.extend([t for _, t in rows])
+    # the strings go before the check; `out` keeps every tree alive, so no id
+    # is reused while the memo is in use. Children are shared objects, so one
+    # memo makes the check O(#trees).
+    del by, rows
     memo: dict[int, str | None] = {}
-    for _, t in out:
+    for t in out:
         q = _states_bottom_up(m, t, None, memo)
         if q is None or q not in m.final:  # pragma: no cover - consistency check
             raise RuntimeError(f"enumeration produced a rejected tree: {render(t)}")
-    del memo
-    out.sort(key=lambda pair: (pair[0], render(pair[1])))
-    return [t for _, t in out]
+    return out
 
 
 def pumping_constant(m: Dta) -> int:

@@ -9,12 +9,18 @@ Interesting nodes, the best path and the cuts are computed on a positional
 preorder index and compared with `naive_interesting`, `naive_best_path` and
 `walk`, including trees that hold one subtree object at two positions.
 `annotate` is compared with `naive_run` at every address, and on chains too
-deep for it with states known in closed form.
+deep for it with states known in closed form; so are `run` and `run_context`,
+and `run` on a shared tree with 2^64 leaves. `enumerate_language` builds each
+tree's rendering beside it and sorts on that; it is compared with brute force
+(`all_trees`), with the counting DP, with its own output at the next bound,
+and on names whose renderings differ at every kind of byte.
 """
 
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,6 +31,7 @@ from treepump import (
     HOLE,
     Candidate,
     Context,
+    Dta,
     GameConstraint,
     InvalidAddressError,
     MultiPumpWitness,
@@ -49,7 +56,9 @@ from treepump import (
     power,
     pump,
     pump_multi,
+    render,
     run,
+    run_context,
     size,
     split,
     substitute,
@@ -62,7 +71,9 @@ from treepump.terms import _Index
 
 from helpers import (
     ALPHA_FGA,
+    PARITY_TEXT,
     accepted_count,
+    all_trees,
     naive_best_path,
     naive_interesting,
     naive_pump,
@@ -470,3 +481,126 @@ def test_annotate_deep_chain_in_closed_form(n):
     stuck = parse_dta(MOD3_TEXT)
     assert annotate(stuck, t) is None
     assert run(stuck, t) is None
+
+
+# ------------------------------------------------------- enumerate_language
+
+
+def enum_instance(rng: random.Random, n_states: int, kind: str, bound: int):
+    """A random automaton and a size bound; `kind` shapes its final states.
+
+    "none" has no final state. "first" keeps one final state, the one
+    first reached at the largest size, and returns that size as the bound,
+    so every accepted tree has the top size.
+    """
+    m = random_dta(rng, n_states)
+    if kind == "none":
+        return replace(m, final=frozenset()), bound
+    if kind == "first":
+        counts = state_size_counts(m, bound)
+        first = {}
+        for q, s in sorted(counts, key=lambda qs: qs[1]):
+            first.setdefault(q, s)
+        q = max(sorted(first), key=first.__getitem__)
+        return replace(m, final=frozenset({q})), first[q]
+    return m, bound
+
+
+ENUM_KINDS = st.sampled_from(["random", "random", "none", "first"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 3), ENUM_KINDS, st.integers(1, 6))
+def test_enumerate_language_matches_brute_force(seed, n_states, kind, bound):
+    m, bound = enum_instance(random.Random(seed), n_states, kind, bound)
+    want = sorted(
+        (t for t in all_trees(ALPHA_FGA, bound) if naive_run(m, t) in m.final),
+        key=lambda t: (size(t), render(t)),
+    )
+    got = enumerate_language(m, bound)
+    assert got == want
+    assert [render(t) for t in got] == [render(t) for t in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 3), ENUM_KINDS, st.integers(1, 10))
+def test_enumerate_language_counts_and_prefix(seed, n_states, kind, bound):
+    m, bound = enum_instance(random.Random(seed), n_states, kind, bound)
+    got = enumerate_language(m, bound)
+    counts = state_size_counts(m, bound)
+    sizes = [size(t) for t in got]
+    for s in range(1, bound + 1):
+        assert sizes.count(s) == accepted_count(m, counts, s)
+    # the next bound builds the trees of size `bound` for every state, not
+    # only for the final ones, and must return the same ones first
+    longer = enumerate_language(m, bound + 1)
+    assert got == [t for t in longer if size(t) <= bound]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 8])
+def test_enumerate_language_final_only_at_the_bound(bound):
+    # a tree of size s <= bound runs to q<s-1> and a larger one gets stuck,
+    # so the one final state, q<bound-1>, holds exactly the trees of size bound
+    states = [f"q{i}" for i in range(bound)]
+    trans = {("a", ()): "q0"}
+    for i in range(bound - 1):
+        trans["g", (f"q{i}",)] = f"q{i + 1}"
+        for j in range(bound - 2 - i):
+            trans["f", (f"q{i}", f"q{j}")] = f"q{i + j + 2}"
+    m = Dta(ALPHA_FGA, frozenset(states), frozenset({states[-1]}), trans)
+    want = sorted(
+        (t for t in all_trees(ALPHA_FGA, bound) if size(t) == bound), key=render
+    )
+    assert enumerate_language(m, bound) == want
+    if bound > 1:
+        assert enumerate_language(m, bound - 1) == []
+
+
+def test_enumerate_language_orders_like_render_bytes():
+    # names that are prefixes of one another, so that two renderings of one
+    # size first differ at "(", ",", ")", a digit, "_" or a letter
+    alphabet = RankedAlphabet({"a": 0, "a1": 0, "a_": 0, "b": 0, "f": 1, "f1": 2})
+    trans = {(sym, ("q",) * alphabet.rank(sym)): "q" for sym in alphabet.symbols}
+    m = Dta(alphabet, frozenset({"q"}), frozenset({"q"}), trans)
+    want = sorted(all_trees(alphabet, 5), key=lambda t: (size(t), render(t)))
+    assert [render(t) for t in enumerate_language(m, 5)] == [
+        render(t) for t in want
+    ]
+
+
+# ------------------------------------------------ run on deep and shared trees
+
+
+@pytest.mark.parametrize("n", [20000, 20001, 20002])
+def test_run_deep_chain_in_closed_form(n):
+    # too deep for naive_run: g^n(a) runs to q(n mod 3)
+    t = Tree("a")
+    for _ in range(n):
+        t = Tree("g", (t,))
+    m = parse_dta(MOD3_TEXT + "trans: g(q2) -> q0\n")
+    assert run(m, t) == f"q{n % 3}"
+    assert run(parse_dta(MOD3_TEXT), t) is None
+
+
+def test_run_visits_each_shared_object_once():
+    # x_k = f(x_(k-1), x_(k-1)) has 2^k a-leaves but only k + 1 objects, so
+    # a run that visits each object once finishes at once
+    m = parse_dta(PARITY_TEXT)
+    x = Tree("a")
+    for _ in range(64):
+        x = Tree("f", (x, x))
+    start = time.perf_counter()
+    assert run(m, x) == "q0"
+    assert run(m, Tree("f", (x, Tree("a")))) == "q1"
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [20000, 20001, 20002])
+def test_run_context_deep_chain_in_closed_form(n):
+    shape = Tree(HOLE)
+    for _ in range(n):
+        shape = Tree("g", (shape,))
+    c = Context(shape)
+    m = parse_dta(MOD3_TEXT + "trans: g(q2) -> q0\n")
+    for i in range(3):
+        assert run_context(m, c, f"q{i}") == f"q{(i + n) % 3}"
