@@ -134,18 +134,22 @@ class RankedAlphabet:
                 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Tree:
     """An ordered labeled tree. Structural equality; hash cached per node.
 
     A label is a symbol name (ASCII letters, digits and ``_``, not starting
     with a digit) or the hole ``@``, so that `render` output always parses
-    back; anything else raises ValueError.
+    back; anything else raises ValueError. Each node also caches its size
+    and how many hole nodes it holds, summed from its children in the same
+    loop that builds the hash, so `size` and every hole check are O(1).
     """
 
     label: str
     children: tuple[Tree, ...] = ()
     _hash: int = field(init=False, repr=False)
+    _size: int = field(init=False, repr=False)
+    _holes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         label = self.label
@@ -155,8 +159,14 @@ class Tree:
             raise ValueError(f"bad node label {label!r}")
         if not isinstance(self.children, tuple):
             object.__setattr__(self, "children", tuple(self.children))
-        h = hash((self.label,) + tuple(c._hash for c in self.children))
-        object.__setattr__(self, "_hash", h)
+        hashes, n, holes = [label], 1, int(label == HOLE)
+        for c in self.children:
+            hashes.append(c._hash)
+            n += c._size
+            holes += c._holes
+        object.__setattr__(self, "_hash", hash(tuple(hashes)))
+        object.__setattr__(self, "_size", n)
+        object.__setattr__(self, "_holes", holes)
 
     # equality and hashing avoid recursion: chains can exceed the stack limit
     def __eq__(self, other: object) -> bool:
@@ -212,11 +222,8 @@ def addresses(t: Tree) -> Iterator[Address]:
 
 
 def size(t: Tree) -> int:
-    """Number of nodes."""
-    n = 0
-    for _ in _nodes(t):
-        n += 1
-    return n
+    """Number of nodes, cached on the tree: O(1)."""
+    return t._size
 
 
 def subtree_at(t: Tree, addr: Address) -> Tree:
@@ -253,33 +260,28 @@ def replace_at(t: Tree, addr: Address, replacement: Tree) -> Tree:
 class Context:
     """A tree over the alphabet plus ``@`` with exactly one hole, at a leaf.
 
-    `Context(shape)` validates the shape and derives `hole_address` from it
-    in one pass over the nodes. The operations below (`context_at`,
+    `Context(shape)` validates the shape from its cached hole count and
+    derives `hole_address` by descending through the one child that holds
+    the hole: O(hole depth * max rank). The operations below (`context_at`,
     `compose`, `power`, `split`) already know where the hole lands and skip
-    that pass. The size of a context never counts the hole.
+    even that. The size of a context never counts the hole.
     """
 
     shape: Tree
     hole_address: Address = field(init=False)
 
     def __post_init__(self) -> None:
-        holes: list[tuple[Address, Tree]] = []
-        path: list[int] = []  # path[d] is the child index taken at depth d
-        stack: list[tuple[Tree, int, int]] = [(self.shape, 0, 0)]
-        while stack:
-            node, depth, idx = stack.pop()
-            del path[depth:]
-            path.append(idx)
-            if node.label == HOLE:
-                holes.append((tuple(path[1:]), node))
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((node.children[i], depth + 1, i + 1))
-        if len(holes) != 1:
-            raise ValueError(f"a context needs exactly one hole, found {len(holes)}")
-        addr, hole = holes[0]
-        if hole.children:
+        node = self.shape
+        if node._holes != 1:
+            raise ValueError(f"a context needs exactly one hole, found {node._holes}")
+        addr: list[int] = []
+        while node.label != HOLE:
+            i = next(i for i, c in enumerate(node.children) if c._holes)
+            addr.append(i + 1)
+            node = node.children[i]
+        if node.children:
             raise ValueError("the hole must be a leaf")
-        object.__setattr__(self, "hole_address", addr)
+        object.__setattr__(self, "hole_address", tuple(addr))
 
     @classmethod
     def _known(cls, shape: Tree, hole_address: Address) -> Context:
@@ -306,12 +308,13 @@ def size_context(c: Context) -> int:
 def context_at(t: Tree, addr: Address) -> Context:
     """The complement of the subtree at addr: t with that subtree holed out.
 
-    t must be hole-free (a tree, not a context's shape): the new hole at
-    addr is then the only one and is not searched for. That is trusted, not
-    checked: the internal callers take t and addr from a preorder index,
-    which already rejects a hole, and a check would cost O(|t|) where the
-    cut costs O(|addr| * max rank), the spine rebuilt by replace_at.
+    t must be hole-free (a tree, not a context's shape), so that the new
+    hole at addr is the only one; a t that holds the hole raises ValueError.
+    That check reads the cached hole count, so the cut costs
+    O(|addr| * max rank), the spine rebuilt by replace_at.
     """
+    if t._holes:
+        raise ValueError("a tree cannot contain the hole '@'")
     return Context._known(replace_at(t, addr, Tree(HOLE)), addr)
 
 
@@ -364,17 +367,16 @@ def split(t: Tree, u: Address, v: Address) -> tuple[Context, Context, Tree]:
     cprime is t holed at u, c is the piece between u and v (hole at v,
     root at u), tprime is the subtree at v. Requires u to be a strict
     ancestor of v; in particular u = v is rejected, so c never collapses
-    to the bare hole. A t that holds the hole raises ValueError, since
-    cprime would get a second one; checking that costs one pass over t.
+    to the bare hole. A t that holds the hole raises ValueError from
+    context_at, since cprime would get a second one. The cost is
+    O(|v| * max rank): the two cut spines.
     """
     if not is_strict_prefix(u, v):
         raise ValueError(
             f"{format_address(u)} is not a strict ancestor of {format_address(v)}"
         )
-    if any(node.label == HOLE for node in _nodes(t)):
-        raise ValueError("a tree cannot contain the hole '@'")
-    sub = subtree_at(t, u)  # validates u; v is validated by the inner cut
-    cprime = context_at(t, u)
+    cprime = context_at(t, u)  # rejects a holed t, then validates u
+    sub = subtree_at(t, u)  # v is validated by the inner cut
     c = context_at(sub, v[len(u) :])
     tprime = subtree_at(sub, v[len(u) :])
     return cprime, c, tprime
@@ -414,26 +416,28 @@ class _Index:
     position of its subtree. So the subtree at i has size end[i] - i, its
     descendants are i+1 .. end[i]-1, and u is an ancestor of v iff
     u <= v < end[u]: the pre/post numbering of Grust, "Accelerating XPath
-    location steps" (SIGMOD 2002). Building it is O(N) and makes no address
-    tuple; addresses are made only where a caller asks for them.
+    location steps" (SIGMOD 2002), with end[i] = i + the cached size of
+    nodes[i]. Building it is one O(N) pass and makes no address tuple;
+    addresses are made only where a caller asks for them.
 
     Keys are positions, never ids: enumeration and splitting share one
     subtree object across several addresses, and a mark or a cut belongs to
-    one of those addresses only. A node labelled with the hole raises
-    ValueError, since every position must be a node of a tree.
+    one of those addresses only. A tree that holds the hole raises
+    ValueError, since every position must be a node of a tree; that check
+    reads the root's cached hole count.
     """
 
     __slots__ = ("nodes", "parent", "slot", "end")
 
     def __init__(self, t: Tree) -> None:
+        if t._holes:
+            raise ValueError("a tree cannot contain the hole '@'")
         nodes: list[Tree] = []
         parent: list[int] = []
         slot: list[int] = []
         stack: list[tuple[Tree, int, int]] = [(t, -1, 0)]
         while stack:
             node, up, k = stack.pop()
-            if node.label == HOLE:
-                raise ValueError("a tree cannot contain the hole '@'")
             i = len(nodes)
             nodes.append(node)
             parent.append(up)
@@ -441,14 +445,10 @@ class _Index:
             kids = node.children
             for j in range(len(kids), 0, -1):
                 stack.append((kids[j - 1], i, j))
-        end = list(range(1, len(nodes) + 1))
-        for i in range(len(nodes) - 1, 0, -1):
-            if end[parent[i]] < end[i]:
-                end[parent[i]] = end[i]
         self.nodes = nodes
         self.parent = parent
         self.slot = slot
-        self.end = end
+        self.end = [i + node._size for i, node in enumerate(nodes)]
 
     def flags(self, marks: Iterable[Address]) -> list[bool]:
         """Per-position membership of a set of addresses.
@@ -550,27 +550,26 @@ def parse_tree(
     with None, ranks are inferred and must merely be used consistently.
     The hole ``@`` is rejected here; use parse_context for contexts.
     """
-    tree, marks, _ = _parse(text, alphabet, allow_hole=False)
-    return tree, marks
+    return _parse(text, alphabet, allow_hole=False)
 
 
 def parse_context(
     alphabet: RankedAlphabet | None, text: str
 ) -> tuple[Context, Marking]:
     """Like parse_tree, but the input must contain exactly one hole ``@``."""
-    shape, marks, holes = _parse(text, alphabet, allow_hole=True)
-    if not holes:
+    shape, marks = _parse(text, alphabet, allow_hole=True)
+    if not shape._holes:
         raise ParseError("context contains no hole '@'", len(text) + 1)
-    return Context._known(shape, holes[0]), marks
+    return Context(shape), marks
 
 
 def _parse(
     text: str, alphabet: RankedAlphabet | None, allow_hole: bool
-) -> tuple[Tree, Marking, list[Address]]:
+) -> tuple[Tree, Marking]:
     n = len(text)
     pos = 0
     marks: set[Address] = set()
-    holes: list[Address] = []
+    seen_hole = False
     seen: dict[str, int] = {}  # inferred ranks when alphabet is None
     # frames: one per open '(' -- [label, label position, children so far]
     frames: list[tuple[str, int, list[Tree]]] = []
@@ -627,9 +626,9 @@ def _parse(
             marks.add(tuple(path))
             pos += 1
         if name == HOLE:
-            if holes:
+            if seen_hole:
                 raise fail("a context has exactly one hole, found a second", name_at)
-            holes.append(tuple(path))
+            seen_hole = True
         skip_ws()
         if pos < n and text[pos] == "(":
             if name == HOLE:
@@ -647,7 +646,7 @@ def _parse(
                 skip_ws()
                 if pos < n:
                     raise fail(f"trailing input {text[pos]!r}", pos)
-                return node, frozenset(marks), holes
+                return node, frozenset(marks)
             frames[-1][2].append(node)
             skip_ws()
             if pos < n and text[pos] == ",":

@@ -3,8 +3,11 @@
 Pumping builds c^n inside-out and every context operation states its hole
 address instead of searching for it; these tests compare both against
 `naive_pump` and against `Context(shape)`, which re-validates a shape and
-re-derives its hole with a full walk. Cut states come from one memoised run of
-the automaton and are compared with `naive_run` on each cut subtree.
+re-derives its hole from the hole counts cached on its nodes. Those caches,
+and the cached sizes, are compared in turn with counts taken by `walk`, on
+trees and contexts from every constructor, and `Context(shape)` must find
+its hole where `walk` finds the ``@``. Cut states come from one memoised
+run of the automaton and are compared with `naive_run` on each cut subtree.
 Interesting nodes, the best path and the cuts are computed on a positional
 preorder index and compared with `naive_interesting`, `naive_best_path` and
 `walk`, including trees that hold one subtree object at two positions.
@@ -49,17 +52,22 @@ from treepump import (
     enumerate_language,
     g_sigma,
     interesting_nodes,
+    iterate,
     max_interesting_path,
     ogden_decompose,
     ogden_decompose_multi,
+    parse_context,
     parse_dta,
+    parse_tree,
     power,
     pump,
     pump_multi,
     render,
+    replace_at,
     run,
     run_context,
     size,
+    size_context,
     split,
     substitute,
     subtree_at,
@@ -203,6 +211,72 @@ def test_decompose_k_contexts_agree_with_revalidation(seed, k):
         assume(False)
     for c in (d.cprime, *d.chain):
         assert c == revalidated(c)
+
+
+# ----------------------------------------------- cached size and hole count
+
+
+def check_caches(x: Tree) -> None:
+    """size and the hole count of every subtree of x, against counts by walk."""
+    for _, node in walk(x):
+        below = [n for _, n in walk(node)]
+        assert size(node) == len(below)
+        assert node._holes == sum(n.label == HOLE for n in below)
+
+
+def check_context(c: Context) -> None:
+    """The caches of c's shape, and its hole where walk finds the '@'."""
+    check_caches(c.shape)
+    assert [a for a, n in walk(c.shape) if n.label == HOLE] == [c.hole_address]
+    assert Context(c.shape).hole_address == c.hole_address
+    assert size_context(c) == size(c.shape) - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_size_and_hole_caches_match_walk(seed):
+    rng = random.Random(seed)
+    alphabet = random_alphabet(rng)
+    t = random_tree(rng, alphabet, rng.randrange(2, 30))
+    outer = random_context(rng, alphabet, rng.randrange(2, 10))
+    inner = random_context(rng, alphabet, rng.randrange(2, 10))
+    a = rng.choice(list(addresses(t)))
+    cprime, c, tprime = split(t, *random_ancestor_pair(rng, t))
+
+    contexts = [
+        parse_context(None, render(outer.shape))[0],
+        context_at(t, a),
+        compose(outer, inner),
+        compose(inner, Context.identity()),
+        power(inner, rng.randrange(0, 4)),
+        cprime,
+        c,
+        Context(replace_at(t, a, inner.shape)),
+    ]
+    for x in contexts:
+        check_context(x)
+
+    trees = [
+        t,
+        parse_tree(None, render(t))[0],
+        tprime,
+        replace_at(t, a, tprime),
+        *iterate(outer, t, 3),
+        # two and three holes
+        Tree("f", (outer.shape, inner.shape)),
+        Tree("f", (outer.shape, Tree(HOLE), inner.shape)),
+    ]
+    for x in trees:
+        check_caches(x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(1, 3))
+def test_size_and_hole_caches_match_walk_on_enumerated_trees(seed, n_states):
+    # enumerate_language builds its trees from shared child objects
+    m = random_dta(random.Random(seed), n_states)
+    for t in enumerate_language(m, 7):
+        check_caches(t)
 
 
 # -------------------------------------------------------------- cut states

@@ -13,6 +13,7 @@ import sys
 import time
 
 from treepump import (
+    Context,
     PumpWitness,
     Tree,
     interesting_nodes,
@@ -24,6 +25,7 @@ from treepump import (
     render,
     run,
     size,
+    split,
 )
 
 from helpers import ALPHA_GA, L3_TEXT
@@ -103,3 +105,18 @@ def test_run_on_a_100000_deep_chain():
     elapsed = time.perf_counter() - t0
     assert q == "q"
     assert elapsed < 2.0
+
+
+def test_split_size_and_context_on_a_50000_deep_chain():
+    # each call reads the cached size and hole counts; none walks the chain
+    t, _ = marked_chain(50000)
+    t0 = time.perf_counter()
+    for _ in range(200):
+        cprime, c, tprime = split(t, (1,) * 10, (1,) * 20)
+        n = size(t)
+        holed = Context(Tree("f", (Tree("@"), t)))
+    elapsed = time.perf_counter() - t0
+    assert (cprime.hole_address, c.hole_address) == ((1,) * 10, (1,) * 10)
+    assert (n, size(tprime)) == (50001, 50001 - 20)
+    assert holed.hole_address == (1,)
+    assert elapsed < 1.0

@@ -291,6 +291,18 @@ def test_context_validation():
         Context(Tree("@", (Tree("a"),)))  # hole with a child
 
 
+def test_context_validation_messages():
+    with pytest.raises(ValueError, match="exactly one hole, found 0$"):
+        Context(Tree("a"))
+    with pytest.raises(ValueError, match="exactly one hole, found 2$"):
+        Context(Tree("f", (Tree("@"), Tree("g", (Tree("@"),)))))
+    with pytest.raises(ValueError, match="^the hole must be a leaf$"):
+        Context(Tree("f", (Tree("a"), Tree("@", (Tree("a"),)))))
+    # a hole below the hole is a second hole, not a non-leaf hole
+    with pytest.raises(ValueError, match="found 2$"):
+        Context(Tree("@", (Tree("@"),)))
+
+
 def test_substitute():
     assert substitute(C("f(@,a)"), T("g(a)")) == T("f(g(a),a)")
     assert substitute(Context.identity(), T("a")) == T("a")
@@ -346,6 +358,17 @@ def test_context_at():
     t = T("f(g(a),a)")
     assert context_at(t, (1,)) == C("f(@,a)")
     assert context_at(t, ()) == Context.identity()
+
+
+def test_context_at_rejects_a_tree_holding_the_hole():
+    # the cut at 2 would give the two-hole f(@,@)
+    t = Tree("f", (Tree("@"), Tree("a")))
+    with pytest.raises(ValueError) as by_context_at:
+        context_at(t, (2,))
+    with pytest.raises(ValueError) as by_split:
+        split(Tree("g", (t,)), (1,), (1, 2))
+    msg = "a tree cannot contain the hole '@'"
+    assert str(by_context_at.value) == str(by_split.value) == msg
 
 
 # ------------------------------------------------------- property testing
