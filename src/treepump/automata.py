@@ -21,9 +21,11 @@ import itertools
 import re
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Collection, Mapping
 
 from .decompose import pumping_threshold
-from .terms import HOLE, Address, Context, RankedAlphabet, Tree, _Index, render
+from .terms import HOLE, Address, Context, RankedAlphabet, Tree, render
+from .terms import _NAME_RE, _Index
 
 __all__ = [
     "AutomatonError",
@@ -40,7 +42,7 @@ __all__ = [
 
 StateAnnotation = dict[Address, str]
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME = _NAME_RE.pattern
 _TRANS_RE = re.compile(
     rf"^({_NAME})\s*(?:\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\))?\s*->\s*({_NAME})$"
 )
@@ -69,16 +71,29 @@ class Dta:
                 f"final states {sorted(self.final - self.states)} are undeclared"
             )
         for (sym, args), target in self.transitions.items():
-            if sym not in self.alphabet:
-                raise ValueError(f"transition on undeclared symbol {sym!r}")
-            if len(args) != self.alphabet.rank(sym):
-                raise ValueError(
-                    f"transition on {sym!r} has {len(args)} argument states, "
-                    f"rank is {self.alphabet.rank(sym)}"
-                )
-            for q in args + (target,):
-                if q not in self.states:
-                    raise ValueError(f"transition mentions undeclared state {q!r}")
+            error = _transition_error(
+                self.alphabet.symbols, self.states, sym, args, target
+            )
+            if error:
+                raise ValueError(error)
+
+
+def _transition_error(
+    symbols: Mapping[str, int],
+    states: Collection[str],
+    sym: str,
+    args: tuple[str, ...],
+    target: str,
+) -> str | None:
+    """Why sym(args) -> target uses an undeclared name or a wrong rank, or None."""
+    if sym not in symbols:
+        return f"undeclared symbol {sym!r}"
+    if len(args) != symbols[sym]:
+        return f"{sym!r} has rank {symbols[sym]}, got {len(args)} argument states"
+    for q in args + (target,):
+        if q not in states:
+            return f"undeclared state {q!r}"
+    return None
 
 
 def parse_dta(text: str) -> Dta:
@@ -112,16 +127,14 @@ def parse_dta(text: str) -> Dta:
                         f"line {lineno}: duplicate symbol {name!r}"
                     )
                 symbols[name] = rank
-        elif key == "states":
+        elif key in ("states", "final"):
             for name in payload.split():
-                if not re.fullmatch(_NAME, name):
+                if not _NAME_RE.fullmatch(name):
                     raise AutomatonError(f"line {lineno}: bad state name {name!r}")
-                states.add(name)
-        elif key == "final":
-            for name in payload.split():
-                if not re.fullmatch(_NAME, name):
-                    raise AutomatonError(f"line {lineno}: bad state name {name!r}")
-                final.append((name, lineno))
+                if key == "states":
+                    states.add(name)
+                else:
+                    final.append((name, lineno))
         elif key == "trans":
             m = _TRANS_RE.match(payload)
             if not m:
@@ -136,16 +149,9 @@ def parse_dta(text: str) -> Dta:
         if name not in states:
             raise AutomatonError(f"line {lineno}: final state {name!r} is undeclared")
     for (sym, args), target, lineno in trans_lines:
-        if sym not in symbols:
-            raise AutomatonError(f"line {lineno}: undeclared symbol {sym!r}")
-        if len(args) != symbols[sym]:
-            raise AutomatonError(
-                f"line {lineno}: {sym!r} has rank {symbols[sym]}, "
-                f"got {len(args)} argument states"
-            )
-        for q in args + (target,):
-            if q not in states:
-                raise AutomatonError(f"line {lineno}: undeclared state {q!r}")
+        error = _transition_error(symbols, states, sym, args, target)
+        if error:
+            raise AutomatonError(f"line {lineno}: {error}")
         if (sym, args) in transitions:
             raise AutomatonError(
                 f"line {lineno}: duplicate transition for "
@@ -179,6 +185,7 @@ def _states_bottom_up(
     """
     if memo is None:
         memo = {}
+    check = m.alphabet.check
     stack: list[tuple[Tree, bool]] = [(t, False)]
     while stack:
         node, expanded = stack.pop()
@@ -191,17 +198,9 @@ def _states_bottom_up(
         if id(node) in memo:
             continue
         if node.label == HOLE and hole_state is not None:
-            if node.children:
-                raise ValueError("the hole must be a leaf")
-            memo[id(node)] = hole_state
+            memo[id(node)] = hole_state  # a Context's hole, checked to be a leaf
             continue
-        if node.label not in m.alphabet:
-            raise ValueError(f"unknown symbol {node.label!r}")
-        if len(node.children) != m.alphabet.rank(node.label):
-            raise ValueError(
-                f"rank mismatch: {node.label!r} takes "
-                f"{m.alphabet.rank(node.label)} children, got {len(node.children)}"
-            )
+        check(node.label, len(node.children))
         stack.append((node, True))
         stack.extend((c, False) for c in reversed(node.children))
     return memo[id(t)]

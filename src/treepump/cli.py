@@ -191,8 +191,8 @@ def _cmd_ogden(args: argparse.Namespace) -> int:
         w: PumpWitness | MultiPumpWitness = ogden_decompose(m, t, marks)
     else:
         w = ogden_decompose_multi(m, t, marks, args.m)
+    report = verify_witness(m, w, args.max_n)  # fails on a bad --max-n, before output
     _print_witness(w)
-    report = verify_witness(m, w, args.max_n)
     _print_report(report)
     return 0 if report.passed else 1
 

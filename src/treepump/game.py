@@ -245,9 +245,11 @@ def play(
     """Adjudicate every legal adversary move; WE_WIN iff all are refuted.
 
     The presented tree must be in the oracle's language, since a win on a
-    non-member proves nothing; ValueError otherwise. A member admitting no
-    legal decomposition is a vacuous win: the adversary cannot move.
+    non-member proves nothing; ValueError otherwise, as for a negative max_n.
+    A member admitting no legal decomposition is a vacuous win.
     """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     oracle.alphabet.check_tree(t)
     if not oracle.membership(t):
         raise ValueError(f"the tree {t} is not in the language {oracle.name}")

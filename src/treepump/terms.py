@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -67,7 +68,7 @@ class ParseError(ValueError):
 
 
 def parse_address(text: str) -> Address:
-    """Parse a dot-separated address; ``e`` denotes the root."""
+    """Parse a dot-separated address of ASCII numerals >= 1; ``e`` is the root."""
     text = text.strip()
     if text == "e":
         return ()
@@ -76,7 +77,7 @@ def parse_address(text: str) -> Address:
     parts = text.split(".")
     out = []
     for part in parts:
-        if not part.isdigit() or int(part) < 1:
+        if not (part.isascii() and part.isdigit()) or int(part) < 1:
             raise ValueError(f"bad address component {part!r} in {text!r}")
         out.append(int(part))
     return tuple(out)
@@ -122,16 +123,24 @@ class RankedAlphabet:
     def max_rank(self) -> int:
         return max(self.symbols.values(), default=0)
 
+    def check(self, label: str, arity: int) -> None:
+        """Raise ValueError unless label is a declared symbol of rank arity.
+
+        The one home of the rank rule: `check_tree`, the automaton evaluator
+        and the parser all call it, so they raise the same two texts.
+        """
+        want = self.symbols.get(label)
+        if want is None:
+            raise ValueError(f"unknown symbol {label!r}")
+        if want != arity:
+            raise ValueError(
+                f"rank mismatch: {label!r} takes {want} children, got {arity}"
+            )
+
     def check_tree(self, t: Tree) -> None:
         """Raise ValueError unless every node uses a declared symbol at its rank."""
         for node in _nodes(t):
-            if node.label not in self.symbols:
-                raise ValueError(f"unknown symbol {node.label!r}")
-            if len(node.children) != self.symbols[node.label]:
-                raise ValueError(
-                    f"rank mismatch: {node.label!r} takes "
-                    f"{self.symbols[node.label]} children, got {len(node.children)}"
-                )
+            self.check(node.label, len(node.children))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -260,11 +269,12 @@ def replace_at(t: Tree, addr: Address, replacement: Tree) -> Tree:
 class Context:
     """A tree over the alphabet plus ``@`` with exactly one hole, at a leaf.
 
-    `Context(shape)` validates the shape from its cached hole count and
-    derives `hole_address` by descending through the one child that holds
-    the hole: O(hole depth * max rank). The operations below (`context_at`,
-    `compose`, `power`, `split`) already know where the hole lands and skip
-    even that. The size of a context never counts the hole.
+    `Context(shape)` is the only way to build one, so every context is
+    checked: the shape's cached hole count must be 1, and `hole_address` is
+    found by descending through the one child that holds the hole, which
+    must be a leaf. The descent costs O(hole depth * max rank), no more than
+    the spine that `context_at`, `compose` or `power` rebuilt to make the
+    shape. The size of a context never counts the hole.
     """
 
     shape: Tree
@@ -276,25 +286,20 @@ class Context:
             raise ValueError(f"a context needs exactly one hole, found {node._holes}")
         addr: list[int] = []
         while node.label != HOLE:
-            i = next(i for i, c in enumerate(node.children) if c._holes)
+            kids = node.children
+            i = 0
+            while not kids[i]._holes:
+                i += 1
             addr.append(i + 1)
-            node = node.children[i]
+            node = kids[i]
         if node.children:
             raise ValueError("the hole must be a leaf")
         object.__setattr__(self, "hole_address", tuple(addr))
 
     @classmethod
-    def _known(cls, shape: Tree, hole_address: Address) -> Context:
-        """A context whose caller already knows the hole; nothing is re-checked."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "shape", shape)
-        object.__setattr__(c, "hole_address", hole_address)
-        return c
-
-    @classmethod
     def identity(cls) -> Context:
         """The bare hole: substitution into it returns the argument unchanged."""
-        return cls._known(Tree(HOLE), ())
+        return cls(Tree(HOLE))
 
     def __str__(self) -> str:
         return render(self.shape)
@@ -310,12 +315,12 @@ def context_at(t: Tree, addr: Address) -> Context:
 
     t must be hole-free (a tree, not a context's shape), so that the new
     hole at addr is the only one; a t that holds the hole raises ValueError.
-    That check reads the cached hole count, so the cut costs
-    O(|addr| * max rank), the spine rebuilt by replace_at.
+    The cut costs O(|addr| * max rank): replace_at rebuilds the spine, and
+    `Context` descends it once more to check the result.
     """
     if t._holes:
         raise ValueError("a tree cannot contain the hole '@'")
-    return Context._known(replace_at(t, addr, Tree(HOLE)), addr)
+    return Context(replace_at(t, addr, Tree(HOLE)))
 
 
 def substitute(c: Context, t: Tree) -> Tree:
@@ -328,11 +333,9 @@ def compose(outer: Context, inner: Context) -> Context:
 
     The hole lands at outer.hole_address + inner.hole_address; only outer's
     spine down to its hole is rebuilt, and inner's shape is shared.
+    `Context` checks the result along that same path.
     """
-    return Context._known(
-        replace_at(outer.shape, outer.hole_address, inner.shape),
-        outer.hole_address + inner.hole_address,
-    )
+    return Context(replace_at(outer.shape, outer.hole_address, inner.shape))
 
 
 def iterate(c: Context, t: Tree, n: int) -> Iterator[Tree]:
@@ -354,11 +357,11 @@ def iterate(c: Context, t: Tree, n: int) -> Iterator[Tree]:
 def power(c: Context, n: int) -> Context:
     """n-fold self-composition; power(c, 0) is the bare hole.
 
-    Linear in n * |c|: built inside-out by `iterate`, hole at
-    c.hole_address repeated n times.
+    Linear in n * |c|: built inside-out by `iterate`, and `Context` checks
+    the result by one descent to the hole at c.hole_address repeated n times.
     """
     *_, shape = iterate(c, Tree(HOLE), n)
-    return Context._known(shape, c.hole_address * n)
+    return Context(shape)
 
 
 def split(t: Tree, u: Address, v: Address) -> tuple[Context, Context, Tree]:
@@ -570,7 +573,8 @@ def _parse(
     pos = 0
     marks: set[Address] = set()
     seen_hole = False
-    seen: dict[str, int] = {}  # inferred ranks when alphabet is None
+    # the rank rule: declared ranks, or with no alphabet each symbol's first rank
+    check = alphabet.check if alphabet is not None else partial(_note_rank, {})
     # frames: one per open '(' -- [label, label position, children so far]
     frames: list[tuple[str, int, list[Tree]]] = []
     path: list[int] = []  # 1-based child index per open frame
@@ -584,24 +588,11 @@ def _parse(
         return ParseError(message, at + 1)
 
     def check_rank(label: str, count: int, at: int) -> None:
-        if label == HOLE:
-            return
-        if alphabet is None:
-            if label in seen and seen[label] != count:
-                raise fail(
-                    f"symbol {label!r} used with {count} children, "
-                    f"previously {seen[label]}",
-                    at,
-                )
-            seen[label] = count
-        else:
-            if label not in alphabet:
-                raise fail(f"unknown symbol {label!r}", at)
-            want = alphabet.rank(label)
-            if want != count:
-                raise fail(
-                    f"rank mismatch: {label!r} takes {want} children, got {count}", at
-                )
+        if label != HOLE:
+            try:
+                check(label, count)
+            except ValueError as exc:
+                raise fail(str(exc), at) from None
 
     while True:
         # read one symbol occurrence
@@ -663,22 +654,23 @@ def _parse(
             raise fail("expected ',' or ')'", pos)
 
 
+def _note_rank(ranks: dict[str, int], label: str, arity: int) -> None:
+    """Record label's first rank in ranks; a later, different one raises ValueError."""
+    prev = ranks.setdefault(label, arity)
+    if prev != arity:
+        raise ValueError(
+            f"symbol {label!r} used with {arity} children, previously {prev}"
+        )
+
+
 def infer_alphabet(*items: Tree | Context) -> RankedAlphabet:
     """Collect symbol ranks from usage; inconsistent arity is an error."""
     ranks: dict[str, int] = {}
     for item in items:
         t = item.shape if isinstance(item, Context) else item
         for node in _nodes(t):
-            if node.label == HOLE:
-                continue
-            prev = ranks.get(node.label)
-            if prev is None:
-                ranks[node.label] = len(node.children)
-            elif prev != len(node.children):
-                raise ValueError(
-                    f"symbol {node.label!r} used with ranks {prev} and "
-                    f"{len(node.children)}"
-                )
+            if node.label != HOLE:
+                _note_rank(ranks, node.label, len(node.children))
     return RankedAlphabet(ranks)
 
 

@@ -97,6 +97,31 @@ def test_dta_constructor_validation():
         Dta(ALPHA_FGA, frozenset({"q"}), frozenset(), {("g", ()): "q"})
 
 
+# one rule, one text: parse_dta prefixes the line, Dta(...) raises it bare
+TRANSITION_ERRORS = [
+    ("h -> q", ("h", ()), "q", "undeclared symbol 'h'"),
+    ("g -> q", ("g", ()), "q", "'g' has rank 1, got 0 argument states"),
+    ("f(q) -> q", ("f", ("q",)), "q", "'f' has rank 2, got 1 argument states"),
+    ("g(r) -> q", ("g", ("r",)), "q", "undeclared state 'r'"),
+    ("f(q,q) -> r", ("f", ("q", "q")), "r", "undeclared state 'r'"),
+]
+
+
+@pytest.mark.parametrize(
+    "line,lhs,target,message",
+    TRANSITION_ERRORS,
+    ids=["symbol", "rank-low", "rank-high", "arg-state", "target-state"],
+)
+def test_transition_errors_have_one_text(line, lhs, target, message):
+    text = "alphabet: f/2 g/1 a/0\nstates: q\nfinal: q\ntrans: a -> q\n"
+    with pytest.raises(AutomatonError) as err:
+        parse_dta(text + f"trans: {line}\n")
+    assert str(err.value) == f"line 5: {message}"
+    with pytest.raises(ValueError) as err:
+        Dta(ALPHA_FGA, frozenset({"q"}), frozenset({"q"}), {lhs: target})
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 # ---------------------------------------------------------------- running
 
 
@@ -149,6 +174,25 @@ def test_bad_node_errors_name_the_first_in_preorder(t, message):
         with pytest.raises(ValueError) as info:
             entry(m, t)
         assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("f(a,g(z))", "unknown symbol 'z'", 7),
+        ("f(a,g(a,a))", "rank mismatch: 'g' takes 1 children, got 2", 5),
+        ("g(f(a))", "rank mismatch: 'f' takes 2 children, got 1", 3),
+    ],
+)
+def test_rank_texts_agree(parity, text, message, position):
+    t = parse_tree(None, text)[0]
+    for check in (ALPHA_FGA.check_tree, lambda t: run(parity, t)):
+        with pytest.raises(ValueError) as err:
+            check(t)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        parse_tree(parity.alphabet, text)
+    assert str(err.value) == f"{message} (at position {position})"
 
 
 def test_annotate(l3, parity):

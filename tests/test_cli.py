@@ -720,3 +720,152 @@ def test_golden_stdout(capsys, tmp_path, monkeypatch, argv, code, expected):
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # game prints the oracle argument verbatim
     assert invoke(capsys, *argv) == (code, expected, "")
+
+
+# ------------------------------------------------------- stderr goldens
+
+CHAINS_HEAD = "alphabet: g/1 a/0\nstates: q\nfinal: q\ntrans: a -> q\n"
+DUP_TEXT = "alphabet: a/0\nstates: q\nfinal: q\n" + "trans: a -> q\n" * 2
+
+# validation errors, captured from the build with one rank check per caller;
+# each exits 2 with nothing on stdout
+STDERR_GOLDENS = [
+    (
+        "unknown_symbol",
+        ["member", "l3.dta", "h(a)"],
+        "error: unknown symbol 'h' (at position 1)\n",
+    ),
+    (
+        "rank_mismatch",
+        ["member", "l3.dta", "g(a,a)"],
+        "error: rank mismatch: 'g' takes 1 children, got 2 (at position 1)\n",
+    ),
+    (
+        "rank_mismatch_leaf",
+        ["run", "parity.dta", "f(a,g(g))"],
+        "error: rank mismatch: 'g' takes 1 children, got 0 (at position 7)\n",
+    ),
+    (
+        "rank_mismatch_ogden",
+        ["ogden", "parity.dta", "f!(g!(a!),g(a,a))"],
+        "error: rank mismatch: 'g' takes 1 children, got 2 (at position 11)\n",
+    ),
+    (
+        "game_unknown_symbol",
+        ["game", "--oracle", "L1", "--mode", "classic", "--p", "2", "f(h(a),h(a))"],
+        "error: unknown symbol 'h' (at position 3)\n",
+    ),
+    (
+        "game_rank_mismatch",
+        ["game", "--oracle", "L1", "--mode", "classic", "--p", "2", "f(g(a))"],
+        "error: rank mismatch: 'f' takes 2 children, got 1 (at position 1)\n",
+    ),
+    (
+        "inferred_rank_conflict",
+        ["decompose", "--k", "1", "f(a!,f(a!))"],
+        "error: symbol 'f' used with 2 children, previously 1 (at position 1)\n",
+    ),
+    (
+        "dta_undeclared_symbol",
+        ["member", "undeclared_symbol.dta", "a"],
+        "error: line 5: undeclared symbol 'h'\n",
+    ),
+    (
+        "dta_bad_arity",
+        ["member", "bad_arity.dta", "a"],
+        "error: line 5: 'g' has rank 1, got 0 argument states\n",
+    ),
+    (
+        "dta_undeclared_state",
+        ["member", "undeclared_state.dta", "a"],
+        "error: line 5: undeclared state 'r'\n",
+    ),
+    (
+        "dta_undeclared_final",
+        ["member", "bad_final.dta", "a"],
+        "error: line 3: final state 'r' is undeclared\n",
+    ),
+    (
+        "dta_duplicate_transition",
+        ["member", "dup_trans.dta", "a"],
+        "error: line 5: duplicate transition for a()\n",
+    ),
+    (
+        "pump_conflict_across_inputs",
+        ["pump", "f(@)", "f(@,a)", "a", "--n", "1"],
+        "error: symbol 'f' declared with ranks 1 and 2\n",
+    ),
+    (
+        "pump_conflict_with_tprime",
+        ["pump", "f(@,g(a))", "g(@)", "g(a,a)", "--n", "1"],
+        "error: symbol 'g' declared with ranks 1 and 2\n",
+    ),
+    (
+        "hole_in_a_tree",
+        ["member", "l3.dta", "g(@)"],
+        "error: hole '@' is only allowed in a context (at position 3)\n",
+    ),
+    (
+        "two_holes",
+        ["pump", "f(@,@)", "g(@)", "a", "--n", "1"],
+        "error: a context has exactly one hole, found a second (at position 5)\n",
+    ),
+    (
+        "no_hole",
+        ["pump", "g(a)", "g(@)", "a", "--n", "1"],
+        "error: context contains no hole '@' (at position 5)\n",
+    ),
+]
+
+
+@pytest.fixture
+def error_files(tmp_path, monkeypatch):
+    for name, text in [
+        ("l3.dta", L3_TEXT),
+        ("parity.dta", PARITY_TEXT),
+        ("undeclared_symbol.dta", CHAINS_HEAD + "trans: h(q) -> q\n"),
+        ("bad_arity.dta", CHAINS_HEAD + "trans: g -> q\n"),
+        ("undeclared_state.dta", CHAINS_HEAD + "trans: g(q) -> r\n"),
+        ("bad_final.dta", "alphabet: a/0\nstates: q\nfinal: r\ntrans: a -> q\n"),
+        ("dup_trans.dta", DUP_TEXT),
+    ]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [g[1:] for g in STDERR_GOLDENS],
+    ids=[g[0] for g in STDERR_GOLDENS],
+)
+def test_golden_stderr(capsys, error_files, argv, expected):
+    assert invoke(capsys, *argv) == (2, "", expected)
+
+
+# a usage error prints nothing on stdout, whatever stage finds it
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no legal decomposition at p=1, so refute never sees the budget
+        ["game", "--oracle", "L1", "--mode", "classic", "--p", "1",
+         "--max-n", "-1", "f(g(a),g(a))"],
+        ["ogden", "--max-n", "-1", "l3.dta", "g!(g!(a!))"],
+        ["ogden-multi", "--m", "1", "--max-n", "-1", "l3.dta", "g!(g!(a!))"],
+    ],
+    ids=["game", "ogden", "ogden-multi"],
+)
+def test_negative_max_n_is_a_usage_error(capsys, error_files, argv):
+    assert invoke(capsys, *argv) == (2, "", "error: max_n must be nonnegative\n")
+
+
+@pytest.mark.parametrize(
+    "marks,part",
+    [("١,١.١", "١"), ("²", "²")],
+    ids=["arabic-indic", "superscript"],
+)
+def test_marks_take_ascii_digits_only(capsys, marks, part):
+    code, out, err = invoke(
+        capsys, "decompose", "--k", "1", "--marks", marks, "g(g(a))"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: bad address component {part!r} in {part!r}\n"

@@ -258,6 +258,13 @@ def test_play_vacuous_win():
     assert report.we_win  # no legal move for the adversary
 
 
+def test_play_rejects_negative_budget_without_a_legal_move():
+    # refute never runs here, so play has to check max_n itself
+    oracle = builtin_oracle("L1")
+    with pytest.raises(ValueError, match="^max_n must be nonnegative$"):
+        play(oracle, T("f(g(a),g(a))"), GameConstraint.classic(1), max_n=-1)
+
+
 def test_play_rejects_a_non_member():
     # every move "refutes" at n=1 on a tree outside L1; that win means nothing
     oracle = builtin_oracle("L1")

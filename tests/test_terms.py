@@ -94,6 +94,19 @@ def test_check_tree():
         A.check_tree(Tree("f", (Tree("a"),)))
 
 
+def test_alphabet_check_texts():
+    A.check("f", 2)
+    with pytest.raises(ValueError, match="^unknown symbol 'z'$"):
+        A.check("z", 0)
+    with pytest.raises(ValueError) as err:
+        A.check("f", 1)
+    assert str(err.value) == "rank mismatch: 'f' takes 2 children, got 1"
+    # check_tree reports the first bad node in preorder with the same texts
+    with pytest.raises(ValueError) as err:
+        A.check_tree(Tree("f", (Tree("g"), Tree("z"))))
+    assert str(err.value) == "rank mismatch: 'g' takes 1 children, got 0"
+
+
 # ---------------------------------------------------------------- addresses
 
 
@@ -109,6 +122,16 @@ def test_address_round_trip(text, addr):
 @pytest.mark.parametrize("bad", ["", "0", "1.", ".1", "1.0", "e.1", "x", "-1"])
 def test_address_rejects(bad):
     with pytest.raises(ValueError):
+        parse_address(bad)
+
+
+# Arabic-Indic one, superscript two, fullwidth one: digits to str.isdigit,
+# and the first and last even to int()
+@pytest.mark.parametrize(
+    "bad", ["\u0661", "\u00b2", "\uff11", "1.\u0661", "\u0661\u0662"]
+)
+def test_address_accepts_ascii_digits_only(bad):
+    with pytest.raises(ValueError, match="^bad address component "):
         parse_address(bad)
 
 
@@ -197,6 +220,21 @@ def test_parse_infer_mode():
     with pytest.raises(ParseError) as err:
         parse_tree(None, "f(a,f(a))")
     assert "previously" in str(err.value)
+
+
+def test_inferred_rank_texts_agree():
+    # the inner f closes first, so the outer one is the conflict
+    with pytest.raises(ParseError) as err:
+        parse_tree(None, "f(a,f(a))")
+    assert str(err.value) == (
+        "symbol 'f' used with 2 children, previously 1 (at position 1)"
+    )
+    with pytest.raises(ValueError) as err:
+        infer_alphabet(T("f(g(a),a)"), T("g(a,a)"))
+    assert str(err.value) == "symbol 'g' used with 2 children, previously 1"
+    with pytest.raises(ValueError) as err:
+        infer_alphabet(C("g(@)"), T("a"), T("g(a,a)"), T("g(a)"))
+    assert str(err.value) == "symbol 'g' used with 2 children, previously 1"
 
 
 def test_infer_alphabet():
@@ -358,6 +396,7 @@ def test_context_at():
     t = T("f(g(a),a)")
     assert context_at(t, (1,)) == C("f(@,a)")
     assert context_at(t, ()) == Context.identity()
+
 
 
 def test_context_at_rejects_a_tree_holding_the_hole():
