@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Collection, Mapping
 
 from .decompose import pumping_threshold
-from .terms import HOLE, Address, Context, RankedAlphabet, Tree, render
+from .terms import Address, Context, RankedAlphabet, Tree, render
 from .terms import _NAME_RE, _Index
 
 __all__ = [
@@ -168,23 +168,23 @@ def parse_dta(text: str) -> Dta:
 
 
 def _states_bottom_up(
-    m: Dta,
-    t: Tree,
-    hole_state: str | None,
-    memo: dict[int, str | None] | None = None,
+    m: Dta, t: Tree, memo: dict[int, str | None] | None = None
 ) -> str | None:
     """Evaluate t bottom-up; shared subtrees are evaluated once (memo by id).
 
     Nodes are first visited in preorder, so a bad symbol or rank raises
-    ValueError for the first bad node in preorder.
+    ValueError for the first bad node in preorder. A tree already in the
+    memo returns at once.
 
     A caller that passes `memo` reads the state of every subtree of t from
-    it afterwards, and may share it across several trees evaluated with the
-    same hole_state. Keys are ids, so every tree evaluated with one memo has
-    to stay alive while the memo is in use.
+    it afterwards, and may share it across several trees. Keys are ids, so
+    every tree evaluated with one memo has to stay alive while the memo is
+    in use.
     """
     if memo is None:
         memo = {}
+    elif id(t) in memo:
+        return memo[id(t)]
     check = m.alphabet.check
     stack: list[tuple[Tree, bool]] = [(t, False)]
     while stack:
@@ -197,18 +197,45 @@ def _states_bottom_up(
             continue
         if id(node) in memo:
             continue
-        if node.label == HOLE and hole_state is not None:
-            memo[id(node)] = hole_state  # a Context's hole, checked to be a leaf
-            continue
         check(node.label, len(node.children))
         stack.append((node, True))
         stack.extend((c, False) for c in reversed(node.children))
     return memo[id(t)]
 
 
+def _plug_state(
+    m: Dta, c: Context, q: str | None, memo: dict[int, str | None]
+) -> str | None:
+    """The state of c with a subtree of state q in its hole; None if stuck.
+
+    Descends c's spine to the hole, checking each spine node and evaluating
+    the siblings left of the spine on the way down and those right of it on
+    the way up, so a bad node is reported at the first one in preorder, as
+    for a tree. q is folded up the spine; None stays None. Off-spine
+    siblings go through `memo`, under the same rules as for
+    `_states_bottom_up`, so siblings already in it cost O(1) and the fold
+    is O(hole depth * max rank).
+    """
+    check = m.alphabet.check
+    spine: list[tuple[Tree, int, tuple[str | None, ...]]] = []
+    node = c.shape
+    for i in c.hole_address:
+        kids = node.children
+        check(node.label, len(kids))
+        left = tuple(_states_bottom_up(m, k, memo) for k in kids[: i - 1])
+        spine.append((node, i, left))
+        node = kids[i - 1]
+    for node, i, left in reversed(spine):
+        right = tuple(_states_bottom_up(m, k, memo) for k in node.children[i:])
+        if q is not None:
+            args = left + (q,) + right
+            q = None if None in args else m.transitions.get((node.label, args))
+    return q
+
+
 def run(m: Dta, t: Tree) -> str | None:
     """The state t evaluates to, or None when a transition is missing."""
-    return _states_bottom_up(m, t, None)
+    return _states_bottom_up(m, t)
 
 
 def accepts(m: Dta, t: Tree) -> bool:
@@ -217,10 +244,14 @@ def accepts(m: Dta, t: Tree) -> bool:
 
 
 def run_context(m: Dta, c: Context, q: str) -> str | None:
-    """Evaluate c with its hole preloaded to state q."""
+    """The state of c with its hole preloaded to state q; None if stuck.
+
+    One fold up c's spine, O(|c|) with a fresh memo for the off-spine
+    subtrees; a bad node raises ValueError at the first one in preorder.
+    """
     if q not in m.states:
         raise ValueError(f"unknown state {q!r}")
-    return _states_bottom_up(m, c.shape, q)
+    return _plug_state(m, c, q, {})
 
 
 def annotate(m: Dta, t: Tree) -> StateAnnotation | None:
@@ -230,7 +261,7 @@ def annotate(m: Dta, t: Tree) -> StateAnnotation | None:
     so the result is None exactly when run(m, t) is.
     """
     memo: dict[int, str | None] = {}
-    if _states_bottom_up(m, t, None, memo) is None:
+    if _states_bottom_up(m, t, memo) is None:
         return None
     ix = _Index(t)
     return {a: memo[id(node)] for a, node in zip(ix.addresses(), ix.nodes)}
@@ -294,7 +325,7 @@ def enumerate_language(m: Dta, size_bound: int) -> list[Tree]:
     del by, rows
     memo: dict[int, str | None] = {}
     for t in out:
-        q = _states_bottom_up(m, t, None, memo)
+        q = _states_bottom_up(m, t, memo)
         if q is None or q not in m.final:  # pragma: no cover - consistency check
             raise RuntimeError(f"enumeration produced a rejected tree: {render(t)}")
     return out

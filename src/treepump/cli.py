@@ -169,6 +169,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gsigma(args: argparse.Namespace) -> int:
+    if args.max_rank < 1:
+        raise ValueError("--max-rank must be at least 1")
+    if args.k < 0:
+        raise ValueError("--k must be nonnegative")
     print(g_sigma(args.max_rank, args.k))
     return 0
 
@@ -189,6 +193,8 @@ def _cmd_ogden(args: argparse.Namespace) -> int:
     t, marks = _load_tree(args.tree, m.alphabet, args.marks)
     if args.m is None:
         w: PumpWitness | MultiPumpWitness = ogden_decompose(m, t, marks)
+    elif args.m < 1:
+        raise ValueError("--m must be at least 1")
     else:
         w = ogden_decompose_multi(m, t, marks, args.m)
     report = verify_witness(m, w, args.max_n)  # fails on a bad --max-n, before output
@@ -202,6 +208,8 @@ def _cmd_pump(args: argparse.Namespace) -> int:
     c = _load_context(args.c, None)
     tprime, _ = parse_tree(None, _read_source(args.tprime))
     merge_alphabets(infer_alphabet(cprime), infer_alphabet(c), infer_alphabet(tprime))
+    if args.n < 0:
+        raise ValueError("--n must be nonnegative")
     *_, inner = iterate(c, tprime, args.n)
     print(render(substitute(cprime, inner)))
     return 0

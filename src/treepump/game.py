@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .automata import Dta, accepts
+from .automata import Dta, _plug_state, _states_bottom_up, accepts
 from .terms import (
     Address,
     Context,
@@ -44,11 +44,17 @@ DEFAULT_MAX_N = 5
 
 @dataclass(frozen=True)
 class LanguageOracle:
-    """A named total membership predicate over trees of a fixed alphabet."""
+    """A named total membership predicate over trees of a fixed alphabet.
+
+    `automaton`, when set, must accept exactly the trees `membership` does;
+    `refute` and `play` then decide membership on its states instead of
+    calling `membership` on whole trees. `dta_oracle` sets it.
+    """
 
     name: str
     alphabet: RankedAlphabet
     membership: Callable[[Tree], bool]
+    automaton: Dta | None = None
 
 
 @dataclass(frozen=True)
@@ -175,8 +181,8 @@ def builtin_oracle(name: str) -> LanguageOracle:
 
 
 def dta_oracle(m: Dta, name: str = "dta") -> LanguageOracle:
-    """Wrap an automaton's accepts as a game oracle."""
-    return LanguageOracle(name, m.alphabet, lambda t: accepts(m, t))
+    """Wrap an automaton's accepts as a game oracle that carries the automaton."""
+    return LanguageOracle(name, m.alphabet, lambda t: accepts(m, t), m)
 
 
 def enumerate_decompositions(
@@ -226,13 +232,43 @@ def refute(
 
     Returns that n with the pumped tree cprime . c^n . tprime itself, the
     counterexample; pumping stops at the first n that refutes.
+
+    A predicate oracle is called on each pumped tree. An oracle with an
+    automaton is decided on states: cprime's action on c's action applied
+    n times to tprime's state, each action one fold up a spine, cached per
+    state. A candidate then costs one run over its off-spine subtrees plus
+    O(min(max_n, |Q| + 1) * spine * max rank), and only the refuting tree
+    is built.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
+    if oracle.automaton is not None:
+        return _refute_states(oracle.automaton, d, max_n, {})
     for n, inner in enumerate(iterate(d.c, d.tprime, max_n)):
         pumped = substitute(d.cprime, inner)
         if not oracle.membership(pumped):
             return n, pumped
+    return None
+
+
+def _refute_states(
+    m: Dta, d: Candidate, max_n: int, memo: dict[int, str | None]
+) -> tuple[int, Tree] | None:
+    """`refute` for an automaton; `memo` holds or receives off-spine states."""
+    outer: dict[str | None, str | None] = {}  # state -> cprime's action on it
+    loop: dict[str | None, str | None] = {}  # state -> c's action on it
+    q = _states_bottom_up(m, d.tprime, memo)
+    for n in range(max_n + 1):
+        if q not in outer:
+            outer[q] = _plug_state(m, d.cprime, q, memo)
+        root = outer[q]
+        if root is None or root not in m.final:
+            *_, inner = iterate(d.c, d.tprime, n)
+            return n, substitute(d.cprime, inner)
+        if n < max_n:
+            if q not in loop:
+                loop[q] = _plug_state(m, d.c, q, memo)
+            q = loop[q]
     return None
 
 
@@ -247,15 +283,33 @@ def play(
     The presented tree must be in the oracle's language, since a win on a
     non-member proves nothing; ValueError otherwise, as for a negative max_n.
     A member admitting no legal decomposition is a vacuous win.
+
+    With an automaton, t is run once and every candidate is refuted on
+    states from that run (see `refute`), so a candidate costs its spine,
+    not the tree, at every n. Predicate oracles go through `refute`.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     oracle.alphabet.check_tree(t)
-    if not oracle.membership(t):
+    m = oracle.automaton
+    if m is not None:
+        # One memo for the whole game, holding the state of every subtree
+        # of t. Keys are ids: every tprime and every off-spine child of a
+        # candidate's cprime and c is an object of t, which outlives the
+        # loop, so the memo only ever holds ids of t's subtrees.
+        memo: dict[int, str | None] = {}
+        root = _states_bottom_up(m, t, memo)
+        member = root is not None and root in m.final
+    else:
+        member = oracle.membership(t)
+    if not member:
         raise ValueError(f"the tree {t} is not in the language {oracle.name}")
     verdicts = []
     for d in enumerate_decompositions(t, constraint):
-        refuted = refute(oracle, d, max_n)
+        if m is None:
+            refuted = refute(oracle, d, max_n)
+        else:
+            refuted = _refute_states(m, d, max_n, memo)
         if refuted is None:
             verdicts.append(Verdict(d, None, None, max_n))
         else:

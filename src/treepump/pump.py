@@ -117,7 +117,7 @@ def _accepted_memo(m: Dta, t: Tree) -> dict[int, str]:
     a stuck subtree would have made the root stuck too.
     """
     memo: dict[int, str | None] = {}
-    q = _states_bottom_up(m, t, None, memo)
+    q = _states_bottom_up(m, t, memo)
     if q is None or q not in m.final:
         raise NotAccepted("the automaton rejects this tree")
     return memo

@@ -1,11 +1,11 @@
 """Shared test machinery: reference oracles and random instance generators.
 
 The oracles here are deliberately independent of the library's code paths:
-`all_trees` enumerates by brute force, `naive_run` evaluates recursively,
-`naive_interesting` iterates a fixpoint, `naive_best_path` scores every
-leaf, `naive_pump` substitutes one copy of a context at a time. Expected
-values frozen into tests were produced by these or by hand evaluation noted
-inline.
+`all_trees` enumerates by brute force, `naive_run` and `naive_run_context`
+evaluate recursively, `naive_interesting` iterates a fixpoint,
+`naive_best_path` scores every leaf, `naive_pump` substitutes one copy of a
+context at a time. Expected values frozen into tests were produced by these
+or by hand evaluation noted inline.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import itertools
 import random
 
 from treepump import (
+    HOLE,
     Context,
     Dta,
     RankedAlphabet,
@@ -92,6 +93,23 @@ def naive_run(m: Dta, t: Tree) -> str | None:
             return None
         states.append(q)
     return m.transitions.get((t.label, tuple(states)))
+
+
+def naive_run_context(m: Dta, c: Context, q: str) -> str | None:
+    """Reference recursive evaluator of a context whose hole has state q."""
+
+    def go(t: Tree) -> str | None:
+        if t.label == HOLE:
+            return q
+        states = []
+        for child in t.children:
+            s = go(child)
+            if s is None:
+                return None
+            states.append(s)
+        return m.transitions.get((t.label, tuple(states)))
+
+    return go(c.shape)
 
 
 def naive_pump(c: Context, n: int, t: Tree) -> Tree:

@@ -291,18 +291,18 @@ def test_enumerate_self_check_evaluates_every_tree(parity, monkeypatch):
     real = automata._states_bottom_up
     seen = []
 
-    def spy(m, t, hole_state, memo=None):
+    def spy(m, t, memo=None):
         seen.append(t)
-        return real(m, t, hole_state, memo)
+        return real(m, t, memo)
 
     monkeypatch.setattr(automata, "_states_bottom_up", spy)
     out = enumerate_language(parity, 6)
     assert len(out) > 5
     assert sorted(map(id, seen)) == sorted(map(id, out))
 
-    def fifth_rejected(m, t, hole_state, memo=None):
+    def fifth_rejected(m, t, memo=None):
         seen.append(t)
-        q = real(m, t, hole_state, memo)
+        q = real(m, t, memo)
         return None if len(seen) == 5 else q
 
     seen.clear()

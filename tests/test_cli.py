@@ -815,6 +815,27 @@ STDERR_GOLDENS = [
         ["pump", "g(a)", "g(@)", "a", "--n", "1"],
         "error: context contains no hole '@' (at position 5)\n",
     ),
+    # flags are named as typed, not as the library parameters behind them
+    (
+        "gsigma_negative_k",
+        ["gsigma", "--max-rank", "2", "--k", "-1"],
+        "error: --k must be nonnegative\n",
+    ),
+    (
+        "gsigma_zero_max_rank",
+        ["gsigma", "--max-rank", "0", "--k", "1"],
+        "error: --max-rank must be at least 1\n",
+    ),
+    (
+        "ogden_multi_zero_m",
+        ["ogden-multi", "--m", "0", "l3.dta", "g!(g!(a!))"],
+        "error: --m must be at least 1\n",
+    ),
+    (
+        "pump_negative_n",
+        ["pump", "@", "g(@)", "a", "--n", "-1"],
+        "error: --n must be nonnegative\n",
+    ),
 ]
 
 

@@ -13,7 +13,11 @@ preorder index and compared with `naive_interesting`, `naive_best_path` and
 `walk`, including trees that hold one subtree object at two positions.
 `annotate` is compared with `naive_run` at every address, and on chains too
 deep for it with states known in closed form; so are `run` and `run_context`,
-and `run` on a shared tree with 2^64 leaves. `enumerate_language` builds each
+and `run` on a shared tree with 2^64 leaves. `run_context` folds a state up
+the spine and is compared with `naive_run_context`, and its errors with
+`check_tree`. `play` and `refute` with an automaton oracle decide on states;
+they are compared, verdict for verdict, with a predicate oracle built on
+`naive_run`, which pumps and tests whole trees. `enumerate_language` builds each
 tree's rendering beside it and sorts on that; it is compared with brute force
 (`all_trees`), with the counting DP, with its own output at the next bound,
 and on names whose renderings differ at every kind of byte.
@@ -37,6 +41,7 @@ from treepump import (
     Dta,
     GameConstraint,
     InvalidAddressError,
+    LanguageOracle,
     MultiPumpWitness,
     NotEnoughInteresting,
     PumpWitness,
@@ -48,6 +53,7 @@ from treepump import (
     compose,
     context_at,
     decompose_k,
+    dta_oracle,
     enumerate_decompositions,
     enumerate_language,
     g_sigma,
@@ -59,9 +65,11 @@ from treepump import (
     parse_context,
     parse_dta,
     parse_tree,
+    play,
     power,
     pump,
     pump_multi,
+    refute,
     render,
     replace_at,
     run,
@@ -86,6 +94,7 @@ from helpers import (
     naive_interesting,
     naive_pump,
     naive_run,
+    naive_run_context,
     random_alphabet,
     random_ancestor_pair,
     random_dta,
@@ -678,3 +687,112 @@ def test_run_context_deep_chain_in_closed_form(n):
     m = parse_dta(MOD3_TEXT + "trans: g(q2) -> q0\n")
     for i in range(3):
         assert run_context(m, c, f"q{i}") == f"q{(i + n) % 3}"
+
+
+# ------------------------------------------------- contexts and game states
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(1, 3))
+def test_run_context_matches_naive(seed, n_states):
+    # random partial automata, so many of these contexts get stuck
+    rng = random.Random(seed)
+    m = random_dta(rng, n_states)
+    for _ in range(5):
+        x = random_tree(rng, ALPHA_FGA, rng.randrange(1, 8))
+        c = random_context(rng, ALPHA_FGA, rng.randrange(2, 30))
+        if rng.random() < 0.3:  # one subtree object on both sides of the spine
+            c = Context(Tree("f", (x, Tree("f", (c.shape, x)))))
+        for q in sorted(m.states):
+            assert run_context(m, c, q) == naive_run_context(m, c, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_run_context_raises_like_check_tree(seed):
+    # symbols outside the automaton's alphabet anywhere around the spine;
+    # the error names the first bad node in preorder, as for c . a
+    rng = random.Random(seed)
+    m = parse_dta(PARITY_TEXT)
+    c = random_context(rng, random_alphabet(rng), rng.randrange(2, 30))
+    try:
+        m.alphabet.check_tree(substitute(c, Tree("a")))
+    except ValueError as want:
+        with pytest.raises(ValueError) as got:
+            run_context(m, c, "q0")
+        assert str(got.value) == str(want)
+    else:
+        assert run_context(m, c, "q0") == naive_run_context(m, c, "q0")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # left of the spine high up, before a bad spine node and a bad
+        # right sibling lower down
+        ("f(f(a,h(a)),g(f(@,k),a))", "unknown symbol 'h'"),
+        # on the spine
+        ("f(f(a,a),g(f(@,k),a))", "rank mismatch: 'g' takes 1 children, got 2"),
+        # right siblings: the deeper one comes first in preorder
+        ("f(f(@,k),h)", "unknown symbol 'k'"),
+    ],
+)
+def test_run_context_names_the_first_bad_node_in_preorder(text, message):
+    m = parse_dta(PARITY_TEXT)
+    c = parse_context(None, text)[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_context(m, c, "q0")
+
+
+def reference_oracle(m: Dta) -> LanguageOracle:
+    """A predicate oracle for m's language, so refute takes the tree path."""
+    return LanguageOracle("ref", m.alphabet, lambda t: naive_run(m, t) in m.final)
+
+
+def game_instance(rng: random.Random, n_states: int):
+    """A random machine with an accepted tree of 2-12 nodes."""
+    for _ in range(300):
+        m = random_dta(rng, n_states)
+        counts = state_size_counts(m, 12)
+        viable = [s for s in range(2, 13) if accepted_count(m, counts, s)]
+        if viable:
+            return m, sample_accepted(rng, m, rng.choice(viable), counts)
+    raise AssertionError("no usable machine after 300 draws")
+
+
+def game_constraint(rng: random.Random, t: Tree) -> GameConstraint:
+    if rng.random() < 0.5:
+        return GameConstraint.classic(rng.randrange(1, size(t) + 2))
+    marks = random_marking(rng, t, rng.randrange(1, size(t) + 1))
+    return GameConstraint.ogden(rng.randrange(1, len(marks) + 2), marks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 3), st.integers(0, 7))
+def test_play_on_states_matches_play_on_trees(seed, n_states, max_n):
+    # max_n up to 7 runs past |Q| + 1, where the states start to repeat
+    rng = random.Random(seed)
+    m, t = game_instance(rng, n_states)
+    constraint = game_constraint(rng, t)
+    fast, ref = dta_oracle(m), reference_oracle(m)
+    assert fast.automaton is m and ref.automaton is None
+    got = play(fast, t, constraint, max_n)
+    assert got == play(ref, t, constraint, max_n)
+    for v in got.verdicts:
+        assert refute(fast, v.candidate, max_n) == (
+            None if v.refuted_at is None else (v.refuted_at, v.counterexample)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 3), st.integers(0, 7))
+def test_refute_on_states_matches_refute_on_trees(seed, n_states, max_n):
+    # single candidates cut from any tree, accepted or not, stuck or not
+    rng = random.Random(seed)
+    m = random_dta(rng, n_states)
+    fast, ref = dta_oracle(m), reference_oracle(m)
+    for _ in range(10):
+        t = random_tree(rng, ALPHA_FGA, rng.randrange(2, 15))
+        u, v = random_ancestor_pair(rng, t)
+        d = Candidate(u, v, *split(t, u, v))
+        assert refute(fast, d, max_n) == refute(ref, d, max_n)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from treepump import (
     Candidate,
     GameConstraint,
+    LanguageOracle,
+    RankedAlphabet,
+    Tree,
     addresses,
     builtin_oracle,
     dta_oracle,
@@ -94,6 +98,54 @@ def test_dta_oracle(parity):
     assert oracle.name == "dta"
     assert oracle.membership(T("f(a,a)"))
     assert not oracle.membership(T("a"))
+
+
+def test_automaton_oracle_decides_on_states(parity):
+    # with an automaton, play and refute never call the predicate; the
+    # three-field oracle has none and calls it on every pumped tree
+    member = dta_oracle(parity).membership
+    calls = []
+
+    def spy(t):
+        calls.append(t)
+        return member(t)
+
+    t = T("f(g(a),g(g(a)))")
+    on_states = replace(dta_oracle(parity), membership=spy)
+    on_trees = LanguageOracle("dta", parity.alphabet, spy)
+    assert on_states.automaton is parity and on_trees.automaton is None
+    got = play(on_states, t, GameConstraint.classic(6), max_n=3)
+    assert calls == []
+    assert got == play(on_trees, t, GameConstraint.classic(6), max_n=3)
+    assert len(calls) > len(got.verdicts)
+    assert not got.we_win and any(v.refuted_at is not None for v in got.verdicts)
+
+
+def test_automaton_oracle_evaluates_each_subtree_of_t_once(parity, monkeypatch):
+    # t = f(g^30(a), f(a, B)), B a complete binary tree of 2^12 distinct
+    # leaves and the marks on the chain only: every candidate lies in the
+    # chain and has B beside its cprime's spine. B's states come from the
+    # one run of t, so the node checks stay near 2N (check_tree plus that
+    # run) plus the spines, not a pass over B per candidate.
+    def full(d):
+        return Tree("a") if d == 0 else Tree("f", (full(d - 1), full(d - 1)))
+
+    arm = Tree("a")
+    for _ in range(30):
+        arm = Tree("g", (arm,))
+    t = Tree("f", (arm, Tree("f", (Tree("a"), full(12)))))
+    marks = frozenset((1,) + a for a in addresses(arm))
+    real = RankedAlphabet.check
+    checks = []
+
+    def counted(self, label, arity):
+        checks.append(label)
+        return real(self, label, arity)
+
+    monkeypatch.setattr(RankedAlphabet, "check", counted)
+    report = play(dta_oracle(parity), t, GameConstraint.ogden(10, marks))
+    assert len(report.verdicts) == 45
+    assert len(checks) < 3 * size(t)
 
 
 # -------------------------------------------------------------- constraint

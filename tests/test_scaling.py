@@ -14,13 +14,16 @@ import time
 
 from treepump import (
     Context,
+    GameConstraint,
     PumpWitness,
     Tree,
+    dta_oracle,
     interesting_nodes,
     ogden_decompose,
     parse_context,
     parse_dta,
     parse_tree,
+    play,
     pump,
     render,
     run,
@@ -28,7 +31,7 @@ from treepump import (
     split,
 )
 
-from helpers import ALPHA_GA, L3_TEXT
+from helpers import ALPHA_GA, L3_TEXT, PARITY_TEXT
 
 
 def C(text):
@@ -120,3 +123,19 @@ def test_split_size_and_context_on_a_50000_deep_chain():
     assert (n, size(tprime)) == (50001, 50001 - 20)
     assert holed.hole_address == (1,)
     assert elapsed < 1.0
+
+
+def test_play_with_an_automaton_on_two_40_deep_chains():
+    # 1722 candidates; each is decided on states, and only the refuting
+    # pumped tree is built, not the whole tree at every n
+    arm = Tree("a")
+    for _ in range(40):
+        arm = Tree("g", (arm,))
+    t = Tree("f", (arm, arm))
+    m = parse_dta(PARITY_TEXT)
+    t0 = time.perf_counter()
+    report = play(dta_oracle(m), t, GameConstraint.classic(size(t)), 5)
+    elapsed = time.perf_counter() - t0
+    assert len(report.verdicts) == 1722
+    assert report.overall == "ADVERSARY_SURVIVES"
+    assert elapsed < 1.5
