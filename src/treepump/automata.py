@@ -1,7 +1,8 @@
 """Deterministic bottom-up tree automata with a partial transition table.
 
 A missing transition behaves as an implicit rejecting sink: runs return None
-instead of a state. The text format is line-oriented::
+instead of a state; being no state, None takes no transition and is in no
+final set, so no test needs a case for it. The text format is line-oriented::
 
     # free-form comment
     alphabet: f/2 g/1 a/0
@@ -191,9 +192,7 @@ def _states_bottom_up(
         node, expanded = stack.pop()
         if expanded:  # checked on the way down, children evaluated since
             args = tuple(memo[id(c)] for c in node.children)
-            memo[id(node)] = (
-                None if None in args else m.transitions.get((node.label, args))
-            )
+            memo[id(node)] = m.transitions.get((node.label, args))
             continue
         if id(node) in memo:
             continue
@@ -211,10 +210,10 @@ def _plug_state(
     Descends c's spine to the hole, checking each spine node and evaluating
     the siblings left of the spine on the way down and those right of it on
     the way up, so a bad node is reported at the first one in preorder, as
-    for a tree. q is folded up the spine; None stays None. Off-spine
-    siblings go through `memo`, under the same rules as for
-    `_states_bottom_up`, so siblings already in it cost O(1) and the fold
-    is O(hole depth * max rank).
+    for a tree. q is folded up the spine; a stuck q or sibling gives None.
+    Off-spine siblings go through `memo`, under the same rules as for
+    `_states_bottom_up`, so siblings already in it cost O(1) and the fold is
+    O(hole depth * max rank).
     """
     check = m.alphabet.check
     spine: list[tuple[Tree, int, tuple[str | None, ...]]] = []
@@ -227,9 +226,7 @@ def _plug_state(
         node = kids[i - 1]
     for node, i, left in reversed(spine):
         right = tuple(_states_bottom_up(m, k, memo) for k in node.children[i:])
-        if q is not None:
-            args = left + (q,) + right
-            q = None if None in args else m.transitions.get((node.label, args))
+        q = m.transitions.get((node.label, left + (q,) + right))
     return q
 
 
@@ -239,8 +236,7 @@ def run(m: Dta, t: Tree) -> str | None:
 
 
 def accepts(m: Dta, t: Tree) -> bool:
-    q = run(m, t)
-    return q is not None and q in m.final
+    return run(m, t) in m.final
 
 
 def run_context(m: Dta, c: Context, q: str) -> str | None:
@@ -261,7 +257,7 @@ def annotate(m: Dta, t: Tree) -> StateAnnotation | None:
     so the result is None exactly when run(m, t) is.
     """
     memo: dict[int, str | None] = {}
-    if _states_bottom_up(m, t, memo) is None:
+    if _states_bottom_up(m, t, memo) not in m.states:
         return None
     ix = _Index(t)
     return {a: memo[id(node)] for a, node in zip(ix.addresses(), ix.nodes)}
@@ -325,8 +321,7 @@ def enumerate_language(m: Dta, size_bound: int) -> list[Tree]:
     del by, rows
     memo: dict[int, str | None] = {}
     for t in out:
-        q = _states_bottom_up(m, t, memo)
-        if q is None or q not in m.final:  # pragma: no cover - consistency check
+        if _states_bottom_up(m, t, memo) not in m.final:  # pragma: no cover
             raise RuntimeError(f"enumeration produced a rejected tree: {render(t)}")
     return out
 

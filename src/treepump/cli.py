@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ogden-multi":
             p.add_argument("--m", type=int, required=True, help="number of loops")
         p.add_argument("--marks")
-        p.add_argument("--max-n", type=int, default=5)
+        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
         p.add_argument("automaton")
         p.add_argument("tree")
         p.set_defaults(fn=_cmd_ogden, m=None)

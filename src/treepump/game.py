@@ -194,7 +194,8 @@ def enumerate_decompositions(
     of position u are u+1 .. end[u]-1, so preorder on u and then on v is the
     lexicographic order. Admissibility is decided from subtree sizes
     (end[u] - u) and mark counts before any context or address is built,
-    and cprime is built once per u. The cost is O(N) plus the candidates.
+    and cprime is built once per u. The cost is O(N) plus the subtrees below
+    each u (an unmarked one holds no u) plus the candidates.
     """
     ix = _Index(t)
     nodes, end = ix.nodes, ix.end
@@ -206,13 +207,16 @@ def enumerate_decompositions(
             load[ix.parent[i]] += load[i]
     else:  # load: nodes per subtree
         load = [end[i] - i for i in range(len(nodes))]
-    # loads only shrink downwards, so every descendant of an admitted u is
-    # admitted too, and addresses are built for admitted positions only
-    admitted = [x <= constraint.p for x in load]
-    addrs = ix.addresses(admitted)
+    # a u needs a load of at most p, and c a mark or a node, so at least 1;
+    # addresses are built for the u's and their descendants only
+    is_u = [0 < x <= constraint.p for x in load]
+    kept = is_u[:]
+    for i in range(1, len(nodes)):
+        kept[i] = is_u[i] or kept[ix.parent[i]]
+    addrs = ix.addresses(kept)
     out: list[Candidate] = []
     for u in range(len(nodes)):
-        if not admitted[u]:
+        if not is_u[u]:
             continue
         cprime = None
         for v in range(u + 1, end[u]):
@@ -261,8 +265,7 @@ def _refute_states(
     for n in range(max_n + 1):
         if q not in outer:
             outer[q] = _plug_state(m, d.cprime, q, memo)
-        root = outer[q]
-        if root is None or root not in m.final:
+        if outer[q] not in m.final:
             *_, inner = iterate(d.c, d.tprime, n)
             return n, substitute(d.cprime, inner)
         if n < max_n:
@@ -298,8 +301,7 @@ def play(
         # candidate's cprime and c is an object of t, which outlives the
         # loop, so the memo only ever holds ids of t's subtrees.
         memo: dict[int, str | None] = {}
-        root = _states_bottom_up(m, t, memo)
-        member = root is not None and root in m.final
+        member = _states_bottom_up(m, t, memo) in m.final
     else:
         member = oracle.membership(t)
     if not member:

@@ -21,6 +21,7 @@ from .automata import (
     run_context,
 )
 from .decompose import _cut_along, _cut_depths, pumping_threshold
+from .game import DEFAULT_MAX_N
 from .terms import (
     Context,
     Marking,
@@ -117,8 +118,7 @@ def _accepted_memo(m: Dta, t: Tree) -> dict[int, str]:
     a stuck subtree would have made the root stuck too.
     """
     memo: dict[int, str | None] = {}
-    q = _states_bottom_up(m, t, memo)
-    if q is None or q not in m.final:
+    if _states_bottom_up(m, t, memo) not in m.final:
         raise NotAccepted("the automaton rejects this tree")
     return memo
 
@@ -244,7 +244,7 @@ def pump_multi(w: MultiPumpWitness, n: int) -> Tree:
 
 
 def verify_witness(
-    m: Dta, w: PumpWitness | MultiPumpWitness, max_n: int = 4
+    m: Dta, w: PumpWitness | MultiPumpWitness, max_n: int = DEFAULT_MAX_N
 ) -> VerificationReport:
     """Check the algebraic certificate, then pumped membership for n in 0..max_n.
 
@@ -263,8 +263,7 @@ def verify_witness(
     else:
         checks.append(("loop_state", run_context(m, w.c, w.q) == w.q))
         pumped = pump
-    root = run_context(m, w.cprime, w.q)
-    checks.append(("cprime_final", root is not None and root in m.final))
+    checks.append(("cprime_final", run_context(m, w.cprime, w.q) in m.final))
     for n in range(max_n + 1):
         checks.append((f"pump_n{n}", accepts(m, pumped(w, n))))
     return VerificationReport(tuple(checks))

@@ -235,30 +235,27 @@ def size(t: Tree) -> int:
     return t._size
 
 
-def subtree_at(t: Tree, addr: Address) -> Tree:
-    node = t
-    for depth, idx in enumerate(addr):
-        if idx < 1 or idx > len(node.children):
+def _spine(t: Tree, addr: Address) -> list[Tree]:
+    """The nodes from t's root down to addr; the one check of an address."""
+    spine = [t]
+    for k, idx in enumerate(addr, 1):
+        kids = spine[-1].children
+        if not 1 <= idx <= len(kids):
             raise InvalidAddressError(
-                f"address {format_address(addr)} invalid at component {depth + 1}"
+                f"address {format_address(addr)} invalid at component {k}"
             )
-        node = node.children[idx - 1]
-    return node
+        spine.append(kids[idx - 1])
+    return spine
+
+
+def subtree_at(t: Tree, addr: Address) -> Tree:
+    return _spine(t, addr)[-1]
 
 
 def replace_at(t: Tree, addr: Address, replacement: Tree) -> Tree:
     """Return t with the subtree at addr swapped for `replacement`."""
-    spine: list[Tree] = []
-    node = t
-    for depth, idx in enumerate(addr):
-        if idx < 1 or idx > len(node.children):
-            raise InvalidAddressError(
-                f"address {format_address(addr)} invalid at component {depth + 1}"
-            )
-        spine.append(node)
-        node = node.children[idx - 1]
     new = replacement
-    for idx, parent in zip(reversed(addr), reversed(spine)):
+    for idx, parent in zip(reversed(addr), _spine(t, addr)[-2::-1]):
         new = Tree(
             parent.label, parent.children[: idx - 1] + (new,) + parent.children[idx:]
         )
@@ -520,26 +517,27 @@ class _Index:
 def render(t: Tree, marks: Iterable[Address] = frozenset()) -> str:
     """Canonical concrete syntax; marked addresses carry a ``!`` suffix.
 
-    Addresses are carried along only when there are marks to look up, so an
-    unmarked render is linear in the size of t.
+    One pass over a stack of nodes and punctuation, linear in the size of t.
+    With marks, a flag per preorder position is read off `walk`'s addresses,
+    at O(N * depth); a mark naming no node is ignored, and holes render.
     """
     marks = marks if isinstance(marks, (set, frozenset)) else frozenset(marks)
+    marked = iter([a in marks for a, _ in walk(t)] if marks else ())
     parts: list[str] = []
-    stack: list[str | tuple[Address | None, Tree]] = [((), t)]
+    stack: list[str | Tree] = [t]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
             continue
-        addr, node = item
-        parts.append(node.label + ("!" if marks and addr in marks else ""))
-        if node.children:
+        parts.append(node.label + "!" if marks and next(marked) else node.label)
+        kids = node.children
+        if kids:
             stack.append(")")
-            for i in range(len(node.children) - 1, -1, -1):
-                child = addr + (i + 1,) if marks else None
-                stack.append((child, node.children[i]))
-                if i:
-                    stack.append(",")
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(",")
+            stack.append(kids[0])
             stack.append("(")
     return "".join(parts)
 

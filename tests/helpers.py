@@ -4,8 +4,9 @@ The oracles here are deliberately independent of the library's code paths:
 `all_trees` enumerates by brute force, `naive_run` and `naive_run_context`
 evaluate recursively, `naive_interesting` iterates a fixpoint,
 `naive_best_path` scores every leaf, `naive_pump` substitutes one copy of a
-context at a time. Expected values frozen into tests were produced by these
-or by hand evaluation noted inline.
+context at a time, `naive_render` recurses with each node's address, and
+`naive_cuts` tries every strict ancestor pair. Expected values frozen into
+tests were produced by these or by hand evaluation noted inline.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from treepump import (
     Tree,
     addresses,
     is_prefix,
+    is_strict_prefix,
     substitute,
     walk,
 )
@@ -117,6 +119,36 @@ def naive_pump(c: Context, n: int, t: Tree) -> Tree:
     for _ in range(n):
         t = substitute(c, t)
     return t
+
+
+def naive_render(t: Tree, marks=frozenset(), at=()) -> str:
+    """Reference recursive rendering; a node whose address is in marks gets ``!``."""
+    text = t.label + ("!" if at in marks else "")
+    if not t.children:
+        return text
+    kids = (naive_render(c, marks, at + (i,)) for i, c in enumerate(t.children, 1))
+    return text + "(" + ",".join(kids) + ")"
+
+
+def naive_cuts(t: Tree, mode: str, p: int, marks=frozenset()) -> list:
+    """The (u, v) of every legal game decomposition, in lexicographic order.
+
+    Every strict ancestor pair is tried. classic: the subtree at u has at
+    most p nodes. ogden: it holds at most p marks, and more than the
+    subtree at v does.
+    """
+    addrs = sorted(addresses(t))
+
+    def load(u):
+        below = [a for a in addrs if is_prefix(u, a)]
+        return len(below) if mode == "classic" else len(marks.intersection(below))
+
+    return [
+        (u, v)
+        for u in addrs
+        for v in addrs
+        if is_strict_prefix(u, v) and load(v) < load(u) <= p
+    ]
 
 
 def naive_interesting(t: Tree, marks) -> frozenset:

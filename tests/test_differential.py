@@ -11,6 +11,8 @@ run of the automaton and are compared with `naive_run` on each cut subtree.
 Interesting nodes, the best path and the cuts are computed on a positional
 preorder index and compared with `naive_interesting`, `naive_best_path` and
 `walk`, including trees that hold one subtree object at two positions.
+`render` is compared with `naive_render` on such trees, with holes and with
+marks that name no node, and the game's candidates with `naive_cuts`.
 `annotate` is compared with `naive_run` at every address, and on chains too
 deep for it with states known in closed form; so are `run` and `run_context`,
 and `run` on a shared tree with 2^64 leaves. `run_context` folds a state up
@@ -91,8 +93,10 @@ from helpers import (
     accepted_count,
     all_trees,
     naive_best_path,
+    naive_cuts,
     naive_interesting,
     naive_pump,
+    naive_render,
     naive_run,
     naive_run_context,
     random_alphabet,
@@ -505,6 +509,43 @@ def test_game_candidates_match_split(seed):
         constraint = GameConstraint.ogden(rng.randrange(1, len(marks) + 2), marks)
     for d in enumerate_decompositions(t, constraint):
         assert d == Candidate(d.u, d.v, *split(t, d.u, d.v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.booleans())
+def test_game_candidates_match_every_ancestor_pair(seed, shared):
+    rng = random.Random(seed)
+    t, marks = marked_instance(rng, shared)
+    for p in range(1, size(t) + 2):
+        found = enumerate_decompositions(t, GameConstraint.classic(p))
+        assert [(d.u, d.v) for d in found] == naive_cuts(t, "classic", p)
+    for p in range(1, len(marks) + 2):
+        found = enumerate_decompositions(t, GameConstraint.ogden(p, marks))
+        assert [(d.u, d.v) for d in found] == naive_cuts(t, "ogden", p, marks)
+
+
+# ---------------------------------------------------------------- rendering
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.booleans(), st.integers(0, 3))
+def test_render_matches_naive_render(seed, shared, holes):
+    rng = random.Random(seed)
+    t, marks = marked_instance(rng, shared)
+    for _ in range(holes):  # shapes with one or more holes, anywhere
+        t = replace_at(t, rng.choice(list(addresses(t))), Tree(HOLE))
+    # marks below a new hole, and one step past a node, name no node
+    marks = marks | {invalid_address(rng, t) for _ in range(rng.randrange(3))}
+    assert render(t) == naive_render(t)
+    assert render(t, marks) == naive_render(t, marks)
+    assert render(t, sorted(marks)) == naive_render(t, marks)
+
+
+def test_render_marks_one_copy_of_a_shared_subtree():
+    x = Tree("g", (Tree("a"),))
+    t = Tree("f", (x, x))
+    assert render(t, {(2, 1)}) == naive_render(t, {(2, 1)}) == "f(g(a),g(a!))"
+    assert render(t, {(1,)}) == "f(g!(a),g(a))"
 
 
 # ------------------------------------------------------------------ annotate

@@ -80,7 +80,9 @@ def test_l3_witness_verifies(l3):
     assert report.failures() == []
     names = [name for name, _ in report.checks]
     assert names[:3] == ["tprime_state", "loop_state", "cprime_final"]
-    assert names[3:] == ["pump_n0", "pump_n1", "pump_n2", "pump_n3", "pump_n4"]
+    assert names[3:] == [
+        "pump_n0", "pump_n1", "pump_n2", "pump_n3", "pump_n4", "pump_n5"
+    ]
 
 
 # ----------------------------------------------------------- preconditions

@@ -18,6 +18,7 @@ from treepump import (
     PumpWitness,
     Tree,
     dta_oracle,
+    enumerate_decompositions,
     interesting_nodes,
     ogden_decompose,
     parse_context,
@@ -139,3 +140,20 @@ def test_play_with_an_automaton_on_two_40_deep_chains():
     assert len(report.verdicts) == 1722
     assert report.overall == "ADVERSARY_SURVIVES"
     assert elapsed < 1.5
+
+
+def test_ogden_candidates_skip_an_unmarked_8000_deep_arm():
+    # f!(g!^10(a!), g^8000(a)) with p = 11: the root holds 12 marks, so every
+    # u lies on the marked arm; the unmarked arm holds none and is never walked
+    left, right = Tree("a"), Tree("a")
+    for _ in range(10):
+        left = Tree("g", (left,))
+    for _ in range(8000):
+        right = Tree("g", (right,))
+    t = Tree("f", (left, right))
+    marks = frozenset((1,) * i for i in range(12))
+    t0 = time.perf_counter()
+    found = enumerate_decompositions(t, GameConstraint.ogden(11, marks))
+    elapsed = time.perf_counter() - t0
+    assert len(found) == 55
+    assert elapsed < 0.5

@@ -33,6 +33,8 @@ from treepump import (
     walk,
 )
 
+from treepump.terms import _Index
+
 from helpers import ALPHA_FGA, ALPHA_GA, random_ancestor_pair
 
 A = ALPHA_FGA
@@ -257,6 +259,11 @@ def test_render_round_trip_examples(text):
     assert parse_tree(A, render(t, marks)) == (t, marks)
 
 
+def test_render_marks_a_context_shape():
+    c, marks = parse_context(A, "f(g(@),a!)")
+    assert render(c.shape, marks) == "f(g(@),a!)"
+
+
 def test_str_is_render():
     assert str(T("f(a,a)")) == "f(a,a)"
     assert str(C("g(@)")) == "g(@)"
@@ -308,6 +315,26 @@ def test_replace_at():
     t = T("f(g(a),a)")
     assert replace_at(t, (1,), T("a")) == T("f(a,a)")
     assert replace_at(t, (), T("a")) == T("a")
+
+
+@pytest.mark.parametrize(
+    "addr,k", [((3,), 1), ((0,), 1), ((1, 2), 2), ((1, 1, 1), 3), ((2, 1, 5), 2)]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, a: subtree_at(t, a),
+        lambda t, a: replace_at(t, a, Tree("a")),
+        lambda t, a: context_at(t, a),
+        lambda t, a: split(t, (), a),
+        lambda t, a: check_marks(t, {(1,), a}),
+        lambda t, a: _Index(t).flags({(1,), a}),
+    ],
+)
+def test_invalid_address_names_the_first_bad_component(call, addr, k):
+    with pytest.raises(InvalidAddressError) as err:
+        call(T("f(g(a),a)"), addr)
+    assert str(err.value) == f"address {format_address(addr)} invalid at component {k}"
 
 
 def test_check_marks():
