@@ -192,27 +192,28 @@ def enumerate_decompositions(
 
     Walks all strict ancestor pairs on the preorder index: the descendants
     of position u are u+1 .. end[u]-1, so preorder on u and then on v is the
-    lexicographic order. Admissibility is decided from subtree sizes
-    (end[u] - u) and mark counts before any context or address is built,
-    and cprime is built once per u. The cost is O(N) plus the subtrees below
-    each u (an unmarked one holds no u) plus the candidates.
+    lexicographic order. Admissibility is decided from loads (node or mark
+    counts per subtree) before any context or address is built, and cprime
+    is built once per u. A u is scanned only when its load is at most p and
+    some position below it carries less, so that at least one v is legal.
+    The cost is O(N) plus the subtrees below each such u plus the candidates.
     """
     ix = _Index(t)
-    nodes, end = ix.nodes, ix.end
-    ogden = constraint.mode == "ogden"
-    if ogden:  # load: marks per subtree
+    nodes, end, parent = ix.nodes, ix.end, ix.parent
+    if constraint.mode == "ogden":  # load: marks per subtree
         assert constraint.marks is not None
         load = [int(f) for f in ix.flags(constraint.marks)]
-        for i in range(len(nodes) - 1, 0, -1):
-            load[ix.parent[i]] += load[i]
     else:  # load: nodes per subtree
-        load = [end[i] - i for i in range(len(nodes))]
-    # a u needs a load of at most p, and c a mark or a node, so at least 1;
+        load = [1] * len(nodes)
+    least = [float("inf")] * len(nodes)  # the least load strictly below
+    for i in range(len(nodes) - 1, 0, -1):
+        load[parent[i]] += load[i]
+        least[parent[i]] = min(least[parent[i]], least[i], load[i])
     # addresses are built for the u's and their descendants only
-    is_u = [0 < x <= constraint.p for x in load]
+    is_u = [least[i] < load[i] <= constraint.p for i in range(len(nodes))]
     kept = is_u[:]
     for i in range(1, len(nodes)):
-        kept[i] = is_u[i] or kept[ix.parent[i]]
+        kept[i] = is_u[i] or kept[parent[i]]
     addrs = ix.addresses(kept)
     out: list[Candidate] = []
     for u in range(len(nodes)):
@@ -220,7 +221,7 @@ def enumerate_decompositions(
             continue
         cprime = None
         for v in range(u + 1, end[u]):
-            if ogden and load[u] - load[v] < 1:
+            if load[v] == load[u]:
                 continue
             if cprime is None:
                 cprime = context_at(t, addrs[u])

@@ -376,35 +376,14 @@ def split(t: Tree, u: Address, v: Address) -> tuple[Context, Context, Tree]:
             f"{format_address(u)} is not a strict ancestor of {format_address(v)}"
         )
     cprime = context_at(t, u)  # rejects a holed t, then validates u
-    sub = subtree_at(t, u)  # v is validated by the inner cut
-    c = context_at(sub, v[len(u) :])
-    tprime = subtree_at(sub, v[len(u) :])
-    return cprime, c, tprime
+    spine = _spine(t, v)  # validates v, counting components from t's root
+    return cprime, context_at(spine[len(u)], v[len(u) :]), spine[-1]
 
 
 def check_marks(t: Tree, marks: Iterable[Address]) -> None:
     """Raise InvalidAddressError unless every mark denotes a node of t."""
     for m in marks:
         subtree_at(t, m)
-
-
-def _shared_prefix(a: Address, b: Address) -> int:
-    """Length of the longest common prefix of a and b.
-
-    Slices compare in C, so a binary search over them avoids one Python
-    step per shared component: marks on a deep chain share long prefixes.
-    """
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 class _Index:
@@ -453,34 +432,32 @@ class _Index:
     def flags(self, marks: Iterable[Address]) -> list[bool]:
         """Per-position membership of a set of addresses.
 
-        The addresses are sorted, which puts them in preorder. Each one is
-        descended only from the deepest position it shares with the one
-        before, hopping over siblings by subtree end. For M marks of total
-        length L that is O(N + M log N) Python steps plus O(L log N) address
-        element comparisons done in C (the sort and `_shared_prefix`), and
-        no address is built. An address that names no node raises the
-        InvalidAddressError that check_marks raises for `marks`.
+        The marks are placed shortest first, and each placed one is kept in
+        a dict from its address to its position. A mark whose parent is a
+        placed mark is one child hop from the parent's position (the first
+        child is at + 1, later siblings are reached through `end`); any
+        other mark is descended from the root with the same hops. For M
+        marks of total length L that is O(N + M * max rank) Python steps
+        plus O(L) hashing and slicing in C when the set is closed under
+        parents, and O(L * max rank) Python steps otherwise; no address is
+        built. An address that names no node raises the InvalidAddressError
+        that check_marks raises for `marks`.
         """
         nodes, end = self.nodes, self.end
         out = [False] * len(nodes)
-        prev: Address = ()
-        trail = [0]  # trail[d] is the position of prev[:d]
-        for addr in sorted(marks):
-            d = _shared_prefix(prev, addr)
-            # sorted order: if addr leaves prev at depth d, it goes right of
-            # prev's child there, so hopping resumes from that child
-            at, k = (trail[d + 1], prev[d]) if d < len(prev) else (trail[d] + 1, 1)
-            del trail[d + 1 :]
-            for want in addr[d:]:
-                if not 1 <= want <= len(nodes[trail[-1]].children):
+        placed: dict[Address, int] = {}
+        for addr in sorted(marks, key=len):
+            up = placed.get(addr[:-1])
+            at, hops = (0, addr) if up is None else (up, addr[-1:])
+            for want in hops:
+                if not 1 <= want <= len(nodes[at].children):
                     check_marks(nodes[0], marks)
                     raise InvalidAddressError(f"address {format_address(addr)} invalid")
-                while k < want:
-                    at, k = end[at], k + 1
-                trail.append(at)
-                at, k = at + 1, 1
-            out[trail[-1]] = True
-            prev = addr
+                at += 1
+                while want > 1:
+                    at, want = end[at], want - 1
+            placed[addr] = at
+            out[at] = True
         return out
 
     def address(self, i: int) -> Address:

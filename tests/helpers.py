@@ -138,16 +138,15 @@ def naive_cuts(t: Tree, mode: str, p: int, marks=frozenset()) -> list:
     subtree at v does.
     """
     addrs = sorted(addresses(t))
-
-    def load(u):
+    load = {}
+    for u in addrs:
         below = [a for a in addrs if is_prefix(u, a)]
-        return len(below) if mode == "classic" else len(marks.intersection(below))
-
+        load[u] = len(below) if mode == "classic" else len(marks.intersection(below))
     return [
         (u, v)
         for u in addrs
         for v in addrs
-        if is_strict_prefix(u, v) and load(v) < load(u) <= p
+        if is_strict_prefix(u, v) and load[v] < load[u] <= p
     ]
 
 

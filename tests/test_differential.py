@@ -498,6 +498,85 @@ def test_invalid_marks_raise_like_check_marks(seed, shared):
         assert str(got.value) == str(want.value)
 
 
+MARK_SHAPES = ["every node", "ancestors", "leaves", "every other depth", "run"]
+
+
+def shaped_marks(rng: random.Random, t: Tree, shape: str) -> frozenset:
+    """Mark sets that `flags` places differently and random markings rarely
+    draw: closed under parents (every node; the ancestors of random nodes),
+    with no marked parent (the leaves; every other depth), and a run of
+    descendants below an unmarked node."""
+    addrs = list(addresses(t))
+    picks = rng.sample(addrs, rng.randrange(1, min(len(addrs), 6) + 1))
+    if shape == "every node":
+        return frozenset(addrs)
+    if shape == "ancestors":
+        return frozenset(a[:k] for a in picks for k in range(len(a) + 1))
+    if shape == "leaves":
+        return frozenset(a for a, node in walk(t) if not node.children)
+    if shape == "every other depth":
+        parity = rng.randrange(2)
+        return frozenset(a for a in addrs if len(a) % 2 == parity)
+    # the run climbs from picks to a child of `top`, an unmarked strict
+    # ancestor of the last pick
+    picks.append(rng.choice(addrs))
+    top = picks[-1][: rng.randrange(len(picks[-1]) + 1)]
+    return frozenset(
+        a[:k] for a in picks if a[: len(top)] == top for k in range(len(top) + 1, len(a) + 1)
+    )
+
+
+def deep_tree(rng: random.Random, depth: int) -> Tree:
+    """A spine of `depth` unary or binary nodes over a small random tree; a
+    binary node holds the spine at a random slot and a leaf at the other."""
+    t = random_tree(rng, CHAINY, rng.randrange(1, 6))
+    for _ in range(depth):
+        if rng.random() < 0.5:
+            t = Tree(rng.choice("uv"), (t,))
+        else:
+            t = Tree("f", (t, Tree("a")) if rng.random() < 0.5 else (Tree("a"), t))
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(MARK_SHAPES), st.booleans())
+def test_flags_match_walk_on_shaped_marks(seed, shape, shared):
+    rng = random.Random(seed)
+    t, _ = marked_instance(rng, shared)
+    marks = shaped_marks(rng, t, shape)
+    assert _Index(t).flags(marks) == [a in marks for a, _ in walk(t)]
+
+
+@pytest.mark.parametrize("shape", MARK_SHAPES)
+@settings(max_examples=2, deadline=None)
+@given(seeds)
+def test_flags_match_walk_on_shaped_marks_at_depth_2000(shape, seed):
+    rng = random.Random(seed)
+    t = deep_tree(rng, rng.randrange(2000, 2100))
+    marks = shaped_marks(rng, t, shape)
+    assert _Index(t).flags(marks) == [a in marks for a, _ in walk(t)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.sampled_from(MARK_SHAPES), st.booleans())
+def test_flags_on_bad_marks_raise_like_check_marks(seed, shape, bad_parent):
+    # the bad mark's parent is a placed mark; with bad_parent, marks below
+    # the bad one are bad too, and no parent of theirs is ever placed
+    rng = random.Random(seed)
+    t, _ = marked_instance(rng, rng.random() < 0.5)
+    marks = shaped_marks(rng, t, shape) or frozenset({()})
+    a, node = rng.choice([(a, node) for a, node in walk(t) if a in marks])
+    bad = a + (rng.choice([0, len(node.children) + 1]),)
+    marks = marks | {bad}
+    if bad_parent:
+        marks = marks | {bad + (1,), bad + (1, 2)}
+    with pytest.raises(InvalidAddressError) as want:
+        check_marks(t, marks)
+    with pytest.raises(InvalidAddressError) as got:
+        _Index(t).flags(marks)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_game_candidates_match_split(seed):

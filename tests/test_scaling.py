@@ -17,6 +17,8 @@ from treepump import (
     GameConstraint,
     PumpWitness,
     Tree,
+    addresses,
+    decompose_k,
     dta_oracle,
     enumerate_decompositions,
     interesting_nodes,
@@ -157,3 +159,31 @@ def test_ogden_candidates_skip_an_unmarked_8000_deep_arm():
     elapsed = time.perf_counter() - t0
     assert len(found) == 55
     assert elapsed < 0.5
+
+
+def test_ogden_candidates_on_an_8000_deep_chain_marked_at_its_leaf():
+    # g^8000(a!) with p = 1: every node holds one mark and none holds fewer
+    # below it, so no u is admitted and no subtree is scanned
+    t = Tree("a")
+    for _ in range(8000):
+        t = Tree("g", (t,))
+    marks = frozenset({(1,) * 8000})
+    t0 = time.perf_counter()
+    found = enumerate_decompositions(t, GameConstraint.ogden(1, marks))
+    elapsed = time.perf_counter() - t0
+    assert found == []
+    assert elapsed < 0.1
+
+
+def test_decompose_an_all_marked_4000_caterpillar():
+    # f(a, f(a, ... f(a, a))) with 4000 f, every node marked: each mark is
+    # placed from its parent's position, one hop down
+    t = Tree("a")
+    for _ in range(4000):
+        t = Tree("f", (Tree("a"), t))
+    marks = frozenset(addresses(t))
+    t0 = time.perf_counter()
+    d = decompose_k(t, marks, 3)
+    elapsed = time.perf_counter() - t0
+    assert d.cut_addresses[-1] == (2,) * 3999 + (1,)
+    assert elapsed < 1.2

@@ -412,6 +412,16 @@ def test_split_rejects():
         split(t, (1,), (1, 1, 1))
 
 
+def test_split_names_the_bad_component_from_the_root():
+    t = T("f(g(a),a)")
+    with pytest.raises(InvalidAddressError) as err:
+        split(t, (1,), (1, 2))  # a bad v is counted from t's root, not from u
+    assert str(err.value) == "address 1.2 invalid at component 2"
+    with pytest.raises(InvalidAddressError) as err:
+        split(t, (3,), (3, 1))  # a bad u is reported before v is read
+    assert str(err.value) == "address 3 invalid at component 1"
+
+
 def test_split_rejects_a_tree_holding_the_hole():
     # cprime would be f(@,@): the old hole plus the cut at u
     t = Tree("f", (Tree("@"), Tree("g", (Tree("a"),))))
